@@ -1,10 +1,22 @@
 """Observability overhead on the fig4-style microbenchmark workload.
 
-The obs layer's contract (ISSUE 2): instrumentation everywhere, but a
-run that doesn't opt in pays only no-op method calls -- under 5% wall
-time on the packet-simulator hot path.  This bench times the same
-8-worker all-reduce three ways (no obs / obs disabled / obs fully on)
-and asserts the disabled path stays inside the budget.
+One interleaved run over the five ways a job can carry the obs layer:
+
+=============  ======================================================
+``none``       no ``Observability`` object at all
+``null``       the shared disabled layer (``Observability.off()``)
+``metrics``    metrics registry on, tracing and telemetry off
+``telemetry``  in-band telemetry hub installed, metrics and tracing off
+``both``       metrics + telemetry (perfbench's ``rack_observed``)
+=============  ======================================================
+
+Budgets (fraction of the ``none`` wall).  The disabled layer and the
+metrics registry sit inside the documented targets (<5 % each; the CI
+gate for metrics-only adds a noise margin).  In-band telemetry does not
+yet: it costs ~31 % here against a 15 % target, down from ~51 % (~79 %
+with metrics) before stamps were bound to their series at the tap --
+so its gates hold the measured level plus a noise margin, not the
+target; see docs/PERFORMANCE.md.
 
 Methodology: the workload is a ~1 s burst of pure Python, and container
 wall time jitters by tens of percent between sequential blocks, so the
@@ -24,7 +36,15 @@ from repro.obs import Observability
 
 N_ELEM = 32 * 4096
 ROUNDS = 5
-BUDGET = 0.05  # disabled-path overhead budget (fraction of baseline)
+
+#: configuration -> (obs factory, overhead budget vs ``none``)
+CONFIGS = {
+    "none": (lambda: None, None),
+    "null": (Observability.off, 0.05),
+    "metrics": (lambda: Observability(tracing_enabled=False), 0.08),
+    "telemetry": (lambda: Observability(enabled=False, telemetry=True), 0.45),
+    "both": (lambda: Observability(tracing_enabled=False, telemetry=True), 0.50),
+}
 
 
 def run_one(obs) -> float:
@@ -41,36 +61,33 @@ def run_one(obs) -> float:
 
 
 def run_overhead():
-    configs = {
-        "baseline": lambda: None,
-        "disabled": Observability.off,
-        "enabled": Observability,
-    }
     run_one(None)  # warm-up round, discarded
-    times: dict[str, list[float]] = {name: [] for name in configs}
+    times: dict[str, list[float]] = {name: [] for name in CONFIGS}
     for _ in range(ROUNDS):
-        for name, make in configs.items():
+        for name, (make, _budget) in CONFIGS.items():
             times[name].append(run_one(make()))
     return {name: min(samples) for name, samples in times.items()}
 
 
-def test_obs_disabled_overhead_under_budget(benchmark, show):
+def test_obs_overhead_under_budget(benchmark, show):
     best = once(benchmark, run_overhead)
-    overhead = best["disabled"] / best["baseline"] - 1.0
+    overhead = {name: best[name] / best["none"] - 1.0 for name in CONFIGS}
     show(
         "\n"
         + format_table(
-            ["configuration", "best wall (s)", "vs baseline"],
+            ["configuration", "best wall (s)", "vs none", "budget"],
             [
-                [name, f"{best[name]:.3f}",
-                 f"{best[name] / best['baseline']:.2f}x"]
-                for name in ("baseline", "disabled", "enabled")
+                [name, f"{best[name]:.3f}", f"{overhead[name]:+.1%}",
+                 "-" if budget is None else f"<{budget:.0%}"]
+                for name, (_make, budget) in CONFIGS.items()
             ],
             title=f"obs overhead, fig4 workload ({N_ELEM} elements, "
                   f"best of {ROUNDS} interleaved rounds)",
         )
     )
-    assert overhead < BUDGET, (
-        f"disabled-path overhead {overhead:.1%} exceeds the "
-        f"{BUDGET:.0%} budget"
-    )
+    over = {
+        name: f"{overhead[name]:.1%} (budget {budget:.0%})"
+        for name, (_make, budget) in CONFIGS.items()
+        if budget is not None and overhead[name] >= budget
+    }
+    assert not over, f"obs overhead over budget: {over}"

@@ -305,6 +305,7 @@ class Controller:
             and self._done_members >= set(self.workers)
         ):
             self._collective_done = True
+            self.sim.stop()
             self.recovery.on_collective_complete(time)
 
     def notify_switch_down(self) -> None:
@@ -464,11 +465,9 @@ class Controller:
             )
         deadline = start_t + deadline_s
         # Heartbeat and sweep timers keep the heap populated forever, so
-        # the loop exits on the done flag (or the deadline), never on an
-        # empty heap.
-        while not self._collective_done and self.sim.step():
-            if self.sim.now > deadline:
-                break
+        # the run ends when _on_worker_done stops it (or at the
+        # deadline), never on an empty heap.
+        self.sim.run_deadline(deadline)
         elapsed = self.sim.now - start_t
 
         # Stop control traffic so callers can compose further phases.

@@ -214,26 +214,50 @@ class SwitchMLProgram:
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.trace = trace
         self._tracer = self.obs.tracer
+        # the switch_* instruments mirror the plain counts above and are
+        # brought up to date by _flush_metrics when the registry is
+        # read; the packet and batch bodies never touch them
         metrics = self.obs.metrics
-        self._m_on = metrics.enabled
-        self._m_contributions = metrics.counter(
-            "switch_contributions_total", "first-time slot contributions"
+        self._m_counters = tuple(
+            metrics.counter(name, help)
+            for name, help in (
+                ("switch_contributions_total", "first-time slot contributions"),
+                ("switch_multicasts_total", "completed aggregations multicast"),
+                ("switch_shadow_reads_total",
+                 "unicast results served from shadow copies"),
+                ("switch_ignored_duplicates_total",
+                 "duplicates during aggregation"),
+                ("switch_stale_epoch_drops_total",
+                 "packets dropped by the epoch fence"),
+            )
         )
-        self._m_multicasts = metrics.counter(
-            "switch_multicasts_total", "completed aggregations multicast"
-        )
-        self._m_shadow = metrics.counter(
-            "switch_shadow_reads_total", "unicast results served from shadow copies"
-        )
-        self._m_dup = metrics.counter(
-            "switch_ignored_duplicates_total", "duplicates during aggregation"
-        )
-        self._m_fence = metrics.counter(
-            "switch_stale_epoch_drops_total", "packets dropped by the epoch fence"
-        )
+        self._m_flushed = (0, 0, 0, 0, 0)
         self._g_occupied = metrics.gauge(
             "switch_slots_occupied", "slots currently mid-aggregation"
         )
+        metrics.on_collect(self._flush_metrics)
+
+    @property
+    def contributions(self) -> int:
+        """First-time slot contributions absorbed.  Every packet past
+        the epoch fence is exactly one of: a contribution, a shadow
+        read, an ignored duplicate, or a stale-phase drop."""
+        return (
+            self.packets_processed - self.unicast_retransmits
+            - self.ignored_duplicates - self.stale_phase_drops
+        )
+
+    def _flush_metrics(self) -> None:
+        """Registry flusher: advance the ``switch_*_total`` counters by
+        what the plain counts gained since the last flush."""
+        totals = (
+            self.contributions, self.multicasts, self.unicast_retransmits,
+            self.ignored_duplicates, self.stale_epoch_drops,
+        )
+        for counter, total, seen in zip(self._m_counters, totals, self._m_flushed):
+            counter.inc(total - seen)
+        self._m_flushed = totals
+        self._g_occupied.set(self.occupied_slots)
 
     # ------------------------------------------------------------------
     # register addressing
@@ -276,8 +300,6 @@ class SwitchMLProgram:
         if self._count_cells[vs] != 0:
             self._count_cells[vs] = 0
             self.occupied_slots -= 1
-            if self._m_on:
-                self._g_occupied.set(self.occupied_slots)
         self.phase_resets += 1
 
     # ------------------------------------------------------------------
@@ -294,8 +316,6 @@ class SwitchMLProgram:
             # a stale packet's coordinates belong to the *previous*
             # configuration and may be out of range for this one.
             self.stale_epoch_drops += 1
-            if self._m_on:
-                self._m_fence.inc()
             if self._tracer.enabled:
                 self._tracer.emit(
                     "fence.drop", self._clock(), cat="fence", actor="switch",
@@ -370,8 +390,6 @@ class SwitchMLProgram:
                     lo = vs * self.k
                     vector = self._pool.read_range(lo, lo + self.k)
                 self.unicast_retransmits += 1
-                if self._m_on:
-                    self._m_shadow.inc()
                 if self.trace is not None:
                     self.trace.tick("shadow_read", self._clock())
                 if self._tracer.enabled:
@@ -408,8 +426,6 @@ class SwitchMLProgram:
                 lo = vs * self.k
                 vector = self._pool.read_range(lo, lo + self.k)
             self.unicast_retransmits += 1
-            if self._m_on:
-                self._m_shadow.inc()
             if self.trace is not None:
                 self.trace.tick("shadow_read", self._clock())
             if self._tracer.enabled:
@@ -453,12 +469,8 @@ class SwitchMLProgram:
                 count = 0
             counts[vs] = count & 255  # the count cells are 8-bit registers
             self._count.accesses += 2
-            if self._m_on:
-                self._m_contributions.inc()
             if count_before == 0:
                 self.occupied_slots += 1
-                if self._m_on:
-                    self._g_occupied.set(self.occupied_slots)
                 if self._tracer.enabled:
                     now = self._clock()
                     self._tracer.emit(
@@ -492,9 +504,6 @@ class SwitchMLProgram:
                     vector = self._pool.read_range(lo, hi)
                 self.multicasts += 1
                 self.occupied_slots -= 1
-                if self._m_on:
-                    self._m_multicasts.inc()
-                    self._g_occupied.set(self.occupied_slots)
                 if self._tracer.enabled:
                     now = self._clock()
                     self._tracer.emit(
@@ -515,8 +524,6 @@ class SwitchMLProgram:
         self._seen.accesses += 1
         self._count.accesses += 1
         self.ignored_duplicates += 1
-        if self._m_on:
-            self._m_dup.inc()
         if self.trace is not None:
             self.trace.tick("slot_contention", self._clock())
         if self._tracer.enabled:
@@ -612,8 +619,6 @@ class SwitchMLProgram:
             pks.append(p)
         if fenced:
             self.stale_epoch_drops += fenced
-            if self._m_on:
-                self._m_fence.inc(fenced)
         if not pks:
             return []
         if len(pks) == 1:
@@ -775,12 +780,6 @@ class SwitchMLProgram:
             releases = int(np.count_nonzero(wrapped))
             self.occupied_slots += claims - releases
             self.multicasts += releases
-            if self._m_on:
-                self._m_contributions.inc(cl_idx.size)
-                if releases:
-                    self._m_multicasts.inc(releases)
-                if claims or releases:
-                    self._g_occupied.set(self.occupied_slots)
 
             has_vec = pks[cl_idx[0]].vector is not None
             if has_vec:
@@ -874,17 +873,6 @@ class SwitchMLProgram:
         self.unicast_retransmits += n_shadow
         self.ignored_duplicates += n_dup
         self.occupied_slots += claims - n_comp
-        if self._m_on:
-            if n_abs:
-                self._m_contributions.inc(n_abs)
-            if n_comp:
-                self._m_multicasts.inc(n_comp)
-            if n_shadow:
-                self._m_shadow.inc(n_shadow)
-            if n_dup:
-                self._m_dup.inc(n_dup)
-            if claims or n_comp:
-                self._g_occupied.set(self.occupied_slots)
         if self.trace is not None and (n_shadow or n_dup):
             now = self._clock()
             for _ in range(n_shadow):
@@ -993,8 +981,6 @@ class SwitchMLProgram:
             if p.epoch != epoch:
                 # epoch fence, identical to handle()'s
                 self.stale_epoch_drops += 1
-                if self._m_on:
-                    self._m_fence.inc()
                 if self._tracer.enabled:
                     self._tracer.emit(
                         "fence.drop", self._clock(), cat="fence", actor="switch",
@@ -1105,14 +1091,10 @@ class SwitchMLProgram:
             count = count_before + m  # distinct unseen workers: count <= n
             wrap = count == n
             counts[vs] = (0 if wrap else count) & 255
-            if self._m_on:
-                self._m_contributions.inc(m)
             first_pos, first_p = g[0]
             if count_before == 0:
                 off_cells[vs] = first_p.off  # the phase this opening claims
                 self.occupied_slots += 1
-                if self._m_on:
-                    self._g_occupied.set(self.occupied_slots)
                 if self._tracer.enabled:
                     now = self._clock()
                     self._tracer.emit(
@@ -1148,9 +1130,6 @@ class SwitchMLProgram:
                     vector = self._pool.read_range(lo, hi)
                 self.multicasts += 1
                 self.occupied_slots -= 1
-                if self._m_on:
-                    self._m_multicasts.inc()
-                    self._g_occupied.set(self.occupied_slots)
                 # the group's last packet is the one that completed the
                 # aggregation -- the multicast anchors to its position
                 last_pos, last_p = g[-1]

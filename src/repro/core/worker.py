@@ -239,29 +239,25 @@ class SwitchMLWorker:
         self._slot_buf: list[SwitchMLPacket | None] = []
         self._slot_frame: list[Frame | None] = []
 
-        # observability: children resolved once here so the send/receive
-        # paths tick a bound instrument (a no-op when obs is disabled)
+        # observability: the four counters mirror `stats` fields and are
+        # brought up to date by _flush_metrics when the registry is
+        # read; the send/receive paths never touch them
         self.obs = obs if obs is not None else NULL_OBS
         self._tracer = self.obs.tracer
         self._actor = f"worker{wid}"
         metrics = self.obs.metrics
-        self._m_sent = metrics.counter(
-            "worker_packets_sent_total", "update packets put on the wire",
-            label_names=("wid",),
-        ).labels(str(wid))
-        self._m_retx = metrics.counter(
-            "worker_retransmissions_total", "timeout-driven resends",
-            label_names=("wid",),
-        ).labels(str(wid))
-        self._m_results = metrics.counter(
-            "worker_results_total", "aggregated results consumed",
-            label_names=("wid",),
-        ).labels(str(wid))
-        self._m_stale = metrics.counter(
-            "worker_stale_results_total",
-            "results ignored as stale (wrong phase or epoch)",
-            label_names=("wid",),
-        ).labels(str(wid))
+        self._m_counters = tuple(
+            metrics.counter(name, help, label_names=("wid",)).labels(str(wid))
+            for name, help in (
+                ("worker_packets_sent_total", "update packets put on the wire"),
+                ("worker_retransmissions_total", "timeout-driven resends"),
+                ("worker_results_total", "aggregated results consumed"),
+                ("worker_stale_results_total",
+                 "results ignored as stale (wrong phase or epoch)"),
+            )
+        )
+        self._m_flushed = (0, 0, 0, 0)
+        metrics.on_collect(self._flush_metrics)
         self._h_rtt = metrics.histogram(
             "worker_rtt_seconds", "per-chunk send-to-result round trip"
         )
@@ -272,9 +268,6 @@ class SwitchMLWorker:
         self._h_tat = metrics.histogram(
             "worker_tat_seconds", "tensor aggregation time (start to finish)"
         )
-        # cached so the per-packet paths skip even the no-op instrument
-        # calls when metrics are disabled
-        self._m_on = metrics.enabled
 
         self.stats = WorkerStats()
         self._tensor: np.ndarray | None = None
@@ -349,6 +342,10 @@ class SwitchMLWorker:
         self.crashed = False
         self._base_off = 0
         self._active_slots = active_slots
+        # the fresh WorkerStats restarts the counts the registry mirrors:
+        # bank what the old one gained first
+        self._flush_metrics()
+        self._m_flushed = (0, 0, 0, 0)
         self.stats = WorkerStats(start_time=self.sim.now)
 
         if self._train and active_slots > 1:
@@ -429,8 +426,6 @@ class SwitchMLWorker:
         self._slot_retransmitted[idx] = False
         self._slot_retries[idx] = 0
         self.stats.packets_sent += 1
-        if self._m_on:
-            self._m_sent.inc()
         if self.trace is not None:
             self.trace.tick("sent", self.sim.now)
         if self._trace_packets and self._tracer.enabled:
@@ -529,8 +524,6 @@ class SwitchMLWorker:
                     slot_buf[idx] = fresh_packets[i]
                     slot_frame[idx] = built[i]
         self.stats.packets_sent += n
-        if self._m_on:
-            self._m_sent.inc(n)
         if self.trace is not None:
             tick = self.trace.tick
             for _ in range(n):
@@ -743,10 +736,7 @@ class SwitchMLWorker:
         stats = self.stats
         stats.packets_sent += 1
         stats.retransmissions += 1
-        if self._m_on:
-            self._m_sent.inc()
-            self._m_retx.inc()
-            self._h_retx_gap.observe(self.sim.now - self._slot_sent_at[idx])
+        self._h_retx_gap.observe(self.sim.now - self._slot_sent_at[idx])
         if self.trace is not None:
             self.trace.tick("resent", self.sim.now)
         if self._trace_packets and self._tracer.enabled:
@@ -1091,8 +1081,6 @@ class SwitchMLWorker:
         n_stale = m - n_acc
         if n_stale:
             stats.stale_results_ignored += n_stale
-            if self._m_on:
-                self._m_stale.inc(n_stale)
         if not n_acc:
             return
 
@@ -1114,11 +1102,7 @@ class SwitchMLWorker:
         stats.results_received += n_acc
         stats.rtt_sum += float(samples.sum())
         stats.rtt_count += n_acc
-        if self._m_on:
-            self._m_results.inc(n_acc)
-            observe = self._h_rtt.observe
-            for x in samples:
-                observe(float(x))
+        self._h_rtt.observe_many(samples)
         # Karn's rule, whole-batch: unambiguous samples feed the per-slot
         # accumulators and clear the backoff; the scalar EWMA stays a
         # loop in arrival order (its fixed point depends on sample order)
@@ -1241,8 +1225,6 @@ class SwitchMLWorker:
             or ver != outstanding.ver
         ):
             stats.stale_results_ignored += 1
-            if self._m_on:
-                self._m_stale.inc()
             return
 
         if self._burst:
@@ -1256,9 +1238,7 @@ class SwitchMLWorker:
         rtt_sample = now - self._slot_sent_at[idx]
         stats.rtt_sum += rtt_sample
         stats.rtt_count += 1
-        if self._m_on:
-            self._m_results.inc()
-            self._h_rtt.observe(rtt_sample)
+        self._h_rtt.observe(rtt_sample)
         if self._trace_packets and self._tracer.enabled:
             self._tracer.emit(
                 "packet.rx", now, cat="packet", actor=self._actor,
@@ -1297,6 +1277,18 @@ class SwitchMLWorker:
             self._send_chunk(idx=idx, ver=1 - ver, off=next_off)
         elif self._remaining == 0:
             self._finish()
+
+    def _flush_metrics(self) -> None:
+        """Registry flusher: advance the ``worker_*_total`` counters by
+        what ``stats`` gained since the last flush."""
+        stats = self.stats
+        totals = (
+            stats.packets_sent, stats.retransmissions,
+            stats.results_received, stats.stale_results_ignored,
+        )
+        for counter, total, seen in zip(self._m_counters, totals, self._m_flushed):
+            counter.inc(total - seen)
+        self._m_flushed = totals
 
     def _finish(self) -> None:
         self._active = False

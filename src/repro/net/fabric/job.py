@@ -256,6 +256,7 @@ class FabricJob:
             self._done.add(gwid)
             if len(self._done) == self.config.num_workers:
                 self._collective_done = True
+                self.sim.stop()
 
         return on_complete
 
@@ -385,10 +386,8 @@ class FabricJob:
         self.controller.start()
         deadline = base + deadline_s
         # Heartbeat and sweep timers keep the heap populated forever, so
-        # the loop exits on the done flag (or the deadline).
-        while not self._collective_done and self.sim.step():
-            if self.sim.now > deadline:
-                break
+        # the run ends when on_complete stops it (or at the deadline).
+        self.sim.run_deadline(deadline)
         self.controller.stop()
         elapsed = self.sim.now - base
 

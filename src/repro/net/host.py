@@ -205,7 +205,7 @@ class Host:
         if self.observer is not None:
             self.observer(frame, "rx", self.sim.now)
         if frame.hops is not None and self.telemetry is not None:
-            self.telemetry.drain(frame, self.sim.now, sink=self.name)
+            self.telemetry.drain(frame, self.sim.now, self.name)
         self.agent.on_frame(frame)
 
     def core_for(self, flow_key: int) -> SerialResource:
@@ -293,7 +293,7 @@ class Host:
             name = self.name
             for frame in frames:
                 if frame.hops is not None:
-                    telemetry.drain(frame, now, sink=name)
+                    telemetry.drain(frame, now, name)
         on_frames = self._agent_on_frames
         if on_frames is not None:
             on_frames(frames)

@@ -94,11 +94,12 @@ class Frame:
     flow_key: int = 0
     #: set by a link's corruption model; receivers checksum and discard
     corrupted: bool = False
-    #: in-band telemetry: per-hop :class:`repro.obs.telemetry.HopRecord`
-    #: stamps, appended by instrumented links and switch pipelines and
-    #: drained (reset to None) at the frame's sink.  None unless a
-    #: telemetry hub is installed -- the common case.
-    hops: list | None = None
+    #: in-band telemetry: flat ``(series, stamp, series, stamp, ...)``
+    #: pairs appended by the instrumented links and switch pipelines the
+    #: frame crossed (:mod:`repro.obs.telemetry`), drained (reset to
+    #: None) at the frame's sink.  None unless a telemetry hub is
+    #: installed -- the common case.
+    hops: tuple | None = None
 
     def copy_for(self, dst: str) -> "Frame":
         """A replica of this frame addressed to ``dst`` (multicast copy).
@@ -107,7 +108,7 @@ class Frame:
         manager replicates frames, and replicas carry the same payload.
         Receivers must not mutate messages in place.  Replicas start
         with no telemetry stamps: each copy traverses its own downlink
-        and accumulates its own hop records.
+        and accumulates its own hop stamps.
         """
         return Frame(
             wire_bytes=self.wire_bytes,

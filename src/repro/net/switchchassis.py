@@ -126,8 +126,9 @@ class SwitchChassis:
         # the loaded program's batch entry point, cached by load_program
         self._process_batch: Callable | None = None
         #: in-band telemetry tap (repro.obs.telemetry.ChassisTap),
-        #: installed by Telemetry.instrument_chassis; stamps pool
-        #: occupancy on ingress frames and drains the ones the pipeline
+        #: installed by Telemetry.instrument_chassis; observes pool
+        #: occupancy once per pipeline pass, then stamps it on the
+        #: frames forwarded as-is and drains the ones the pipeline
         #: terminates (aggregated, punted, fenced)
         self.telemetry: Any | None = None
 
@@ -167,11 +168,11 @@ class SwitchChassis:
     def _run_pipeline(self, frame: Frame, in_port: int) -> None:
         tap = self.telemetry
         if tap is not None:
-            tap.stamp(frame)
+            tap.observe()
         deliveries = self.program.process(frame, in_port).deliveries
         if not deliveries:
             self.frames_dropped += 1
-            if tap is not None and frame.hops is not None:
+            if tap is not None:
                 tap.absorb(frame)
             return
         egress_list = self._egress_list
@@ -182,12 +183,13 @@ class SwitchChassis:
             if egress is None:
                 raise RuntimeError(f"{self.name}: no egress link on port {port}")
             egress.send(out_frame)
-        if tap is not None and frame.hops is not None:
+        if tap is not None:
             # a frame absorbed by the program (its deliveries are new
             # frames, e.g. an aggregation emitting partials) terminates
             # here; one forwarded as-is keeps accumulating stamps
             for _port, out_frame in deliveries:
                 if out_frame is frame:
+                    tap.stamp(frame)
                     break
             else:
                 tap.absorb(frame)
@@ -322,8 +324,7 @@ class SwitchChassis:
             return
         tap = self.telemetry
         if tap is not None:
-            for frame, _port in group:
-                tap.stamp(frame)
+            tap.observe()
         decisions = process_batch(group)
         # each returned decision carries the deliveries triggered by one
         # emitting frame; every other frame of the group was absorbed
@@ -416,5 +417,7 @@ class SwitchChassis:
                     egress.send(out_frame)
         if tap is not None:
             for frame, _port in group:
-                if frame.hops is not None and id(frame) not in forwarded:
+                if id(frame) in forwarded:
+                    tap.stamp(frame)
+                else:
                     tap.absorb(frame)

@@ -54,7 +54,6 @@ from repro.obs.registry import (
 )
 from repro.obs.telemetry import (
     CongestionReport,
-    HopRecord,
     HotSpineReport,
     StragglerReport,
     Telemetry,
@@ -80,7 +79,6 @@ __all__ = [
     "EventTracer",
     "Gauge",
     "Histogram",
-    "HopRecord",
     "HotSpineReport",
     "MetricSample",
     "MetricsRegistry",

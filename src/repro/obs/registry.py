@@ -4,15 +4,18 @@ Every subsystem in the repo keeps counters -- ``WorkerStats`` fields,
 ``SwitchMLProgram.multicasts``, ``LinkStats``, the control plane's event
 log.  Those stay (they are cheap and always on); the registry is the
 *unified* layer on top: components register named instruments once at
-construction time and tick them on the hot path, and one
-:meth:`MetricsRegistry.collect` call snapshots the whole process.
+construction time, and one :meth:`MetricsRegistry.collect` call
+snapshots the whole process.
 
-Design constraints (ISSUE 2):
+Design constraints:
 
+* **pull, don't push** -- hot paths do not tick instruments.  A
+  component registers a *flusher* (:meth:`MetricsRegistry.on_collect`)
+  that brings its instruments up to date from the plain counts it
+  already keeps; every public read runs the flushers first.  Histogram
+  samples are a list append until the next read folds them;
 * **off-by-default and cheap when off** -- a disabled registry hands out
-  shared null instruments whose ``inc``/``set``/``observe`` are empty
-  methods, so an instrumented call site costs one no-op method call and
-  call sites never need ``if`` guards;
+  shared null instruments whose methods are empty and drops flushers;
 * **label sets** -- an instrument declared with ``label_names`` is a
   family; ``labels(...)`` interns one child per label-value tuple, so
   hot paths resolve their child once at setup and never pay a dict
@@ -25,8 +28,11 @@ a refactor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -64,8 +70,29 @@ class MetricSample:
         return dict(self.labels)
 
 
+@functools.cache
+def _family_of(leaf: type) -> type:
+    """``leaf``'s labelled-family twin: its update methods raise."""
+    def needs_labels(self, *args, **kwargs) -> None:
+        raise ValueError(
+            f"{self.name} declares labels {self._label_names}; "
+            "call .labels(...) first"
+        )
+
+    updates = {"inc", "dec", "set", "observe", "observe_many"} & set(dir(leaf))
+    return type(leaf.__name__, (leaf,), {
+        "__slots__": (), "_leaf": leaf, **dict.fromkeys(updates, needs_labels),
+    })
+
+
 class _Instrument:
-    """Common child machinery: a named instrument bound to label values."""
+    """Common child machinery: a named instrument bound to label values.
+
+    An instrument declared with ``label_names`` but no label values is a
+    *family*; it becomes its kind's :func:`_family_of` twin, so updating
+    it without ``labels(...)`` fails by dispatch and a leaf's updates
+    carry no per-call check.
+    """
 
     __slots__ = ("name", "help", "_label_names", "_children", "_labels")
 
@@ -77,6 +104,8 @@ class _Instrument:
         self._labels = labels
         # family-level: interned children by label-value tuple
         self._children: dict[tuple[str, ...], "_Instrument"] = {}
+        if label_names and not labels:
+            self.__class__ = _family_of(type(self))
 
     def labels(self, *values, **kv):
         """Return (and intern) the child for one label-value set."""
@@ -92,19 +121,15 @@ class _Instrument:
             )
         child = self._children.get(values)
         if child is None:
-            child = type(self)(self.name, self.help, self._label_names, values)
+            child = self._new_child(getattr(self, "_leaf", type(self)), values)
             self._children[values] = child
         return child
 
+    def _new_child(self, leaf: type, values: tuple[str, ...]) -> "_Instrument":
+        return leaf(self.name, self.help, self._label_names, values)
+
     def _label_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(zip(self._label_names, self._labels))
-
-    def _guard_unlabelled(self) -> None:
-        if self._label_names and not self._labels:
-            raise ValueError(
-                f"{self.name} declares labels {self._label_names}; "
-                "call .labels(...) first"
-            )
 
     def _leaves(self) -> Iterable["_Instrument"]:
         if self._label_names and not self._labels:
@@ -114,68 +139,77 @@ class _Instrument:
             yield self
 
 
-class Counter(_Instrument):
-    """Monotonically increasing count."""
+class _Scalar(_Instrument):
+    """A single-valued instrument."""
 
     __slots__ = ("_value",)
 
     def __init__(self, name, help="", label_names=(), labels=()):
         super().__init__(name, help, tuple(label_names), tuple(labels))
         self._value = 0.0
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def samples(self) -> list[MetricSample]:
+        return [
+            MetricSample(leaf.name, leaf._label_pairs(), leaf._value)
+            for leaf in self._leaves()
+        ]
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up")
-        self._guard_unlabelled()
         self._value += amount
 
-    @property
-    def value(self) -> float:
-        return self._value
 
-    def samples(self) -> list[MetricSample]:
-        return [
-            MetricSample(leaf.name, leaf._label_pairs(), leaf._value)
-            for leaf in self._leaves()
-        ]
-
-
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """A value that can go up and down."""
 
-    __slots__ = ("_value",)
-
-    def __init__(self, name, help="", label_names=(), labels=()):
-        super().__init__(name, help, tuple(label_names), tuple(labels))
-        self._value = 0.0
+    __slots__ = ()
 
     def set(self, value: float) -> None:
-        self._guard_unlabelled()
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self._guard_unlabelled()
         self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        self._guard_unlabelled()
         self._value -= amount
 
-    @property
-    def value(self) -> float:
-        return self._value
 
-    def samples(self) -> list[MetricSample]:
-        return [
-            MetricSample(leaf.name, leaf._label_pairs(), leaf._value)
-            for leaf in self._leaves()
-        ]
+#: pending samples a histogram holds before folding them unprompted, so
+#: a registry nobody reads stays bounded
+_FOLD_AT = 4096
+
+
+def _folded(attr: str) -> property:
+    """A histogram statistic: fold the pending samples, then read."""
+    def read(self):
+        self._fold()
+        return getattr(self, attr)
+
+    return property(read)
 
 
 class Histogram(_Instrument):
-    """Cumulative-bucket histogram plus count / sum / min / max."""
+    """Cumulative-bucket histogram plus count / sum / min / max.
 
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max")
+    ``observe`` is a list append; the samples are folded into the
+    buckets, vectorised, by the next read of any statistic (or after
+    ``_FOLD_AT`` of them).  The fold adds in observation order, so the
+    statistics are exactly what one update per sample would give.
+    """
+
+    __slots__ = ("buckets", "_pending", "_bucket_counts", "_count", "_sum",
+                 "_min", "_max")
 
     def __init__(self, name, help="", label_names=(), labels=(),
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -183,33 +217,56 @@ class Histogram(_Instrument):
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError(f"{name}: need at least one bucket bound")
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # last = +Inf
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
+        self._pending: list[float] = []
+        self._bucket_counts = [0] * (len(self.buckets) + 1)  # last = +Inf
+        self._count = 0
+        self._sum = 0.0
+        self._min = float("inf")
+        self._max = float("-inf")
 
-    def labels(self, *values, **kv):
-        child = super().labels(*values, **kv)
+    def _new_child(self, leaf, values):
         # children inherit the family's bucket bounds
-        if child.buckets != self.buckets:
-            child.buckets = self.buckets
-            child.bucket_counts = [0] * (len(self.buckets) + 1)
-        return child
+        return leaf(self.name, self.help, self._label_names, values,
+                    buckets=self.buckets)
 
     def observe(self, value: float) -> None:
-        self._guard_unlabelled()
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """``observe`` each of ``values``, in order."""
+        pending = self._pending
+        pending.extend(values)
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        values = np.array(pending, dtype=np.float64)
+        pending.clear()
+        self._count += values.size
+        # accumulate() adds strictly left to right: the same total, to
+        # the bit, as one `sum += value` per sample
+        self._sum = float(
+            np.add.accumulate(np.concatenate(((self._sum,), values)))[-1]
+        )
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
+        # side="left": the first bound with value <= bound; beyond the
+        # last bound lands in the +Inf cell
+        cells = np.searchsorted(self.buckets, values, side="left")
+        folded = np.bincount(cells, minlength=len(self._bucket_counts)).tolist()
+        self._bucket_counts = [a + b for a, b in zip(self._bucket_counts, folded)]
+
+    count = _folded("_count")
+    sum = _folded("_sum")
+    min = _folded("_min")
+    max = _folded("_max")
+    bucket_counts = _folded("_bucket_counts")
 
     @property
     def mean(self) -> float:
@@ -225,8 +282,8 @@ class Histogram(_Instrument):
             return float("nan")
         target = q * self.count
         seen = 0
-        for i, bound in enumerate(self.buckets):
-            seen += self.bucket_counts[i]
+        for bound, n in zip(self.buckets, self.bucket_counts):
+            seen += n
             if seen >= target:
                 return bound
         return self.max
@@ -276,6 +333,9 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        pass
+
     @property
     def value(self) -> float:
         return 0.0
@@ -299,19 +359,36 @@ class MetricsRegistry:
     Parameters
     ----------
     enabled:
-        When False the registry hands out the shared null instruments
-        and :meth:`collect` returns nothing -- the whole metrics layer
-        costs a handful of no-op calls.
+        When False the registry hands out the shared null instruments,
+        drops flushers, and :meth:`collect` returns nothing -- the whole
+        metrics layer costs a handful of no-op calls.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._metrics: dict[str, _Instrument] = {}
+        self._flushers: list[Callable[[], None]] = []
+
+    def on_collect(self, flusher: Callable[[], None]) -> None:
+        """Run ``flusher()`` before every read (:meth:`get`,
+        :meth:`names`, :meth:`collect`, :meth:`as_dict`, :meth:`render`).
+
+        A flusher brings its component's instruments up to date from the
+        plain counts the component keeps: a counter by the growth since
+        the previous flush, a gauge by the current value.  The registry
+        keeps the flusher, and so that component, alive.
+        """
+        if self.enabled:
+            self._flushers.append(flusher)
+
+    def _flush(self) -> None:
+        for flusher in self._flushers:
+            flusher()
 
     def _get_or_create(self, cls, name, help, label_names, **kwargs):
         existing = self._metrics.get(name)
         if existing is not None:
-            if type(existing) is not cls:
+            if not isinstance(existing, cls):
                 raise ValueError(
                     f"metric {name!r} already registered as "
                     f"{type(existing).__name__}"
@@ -351,9 +428,11 @@ class MetricsRegistry:
     # Introspection / export
     # ------------------------------------------------------------------
     def get(self, name: str) -> _Instrument | None:
+        self._flush()
         return self._metrics.get(name)
 
     def names(self) -> list[str]:
+        self._flush()
         return sorted(self._metrics)
 
     def collect(self) -> list[MetricSample]:

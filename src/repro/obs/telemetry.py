@@ -8,19 +8,26 @@ This module is that substrate, modelled on INT (in-band network
 telemetry):
 
 * **Stamping.**  When a :class:`Telemetry` hub is installed, every link
-  appends a :class:`HopRecord` to ``frame.hops`` as the frame is
-  serialized (enqueue backlog in bytes and frames, queueing delay, the
-  hop's full latency), and every switch pipeline appends one carrying
-  the loaded program's slot-pool occupancy and pool epoch.
+  tap records each send device-side as the frame is serialized (enqueue
+  backlog in bytes and frames, queueing delay) and appends an in-band
+  stamp -- the interval bucket it was sent in and the hop's full
+  latency -- to the flat tuple ``frame.hops``; every switch pipeline
+  tap does the same with the loaded program's slot-pool occupancy and
+  pool epoch.  A stamp is bound to its series (and interval) when it is
+  made: draining needs no name lookup and no re-bucketing.
 * **Draining.**  Frames terminate either at a host (results reaching a
   worker) or inside a switch (absorbed by aggregation, punted, fenced).
-  Both sinks hand the frame to the :class:`TelemetryCollector`, which
-  files each record into fixed-interval ring-buffer series on the
-  *simulated* clock.  A frame lost on the wire takes its records with
-  it -- in-band telemetry is lossy by construction -- so the per-link
-  send/drop/loss counters are recorded device-side at the transmitter
-  (INT "postcards"), while hop latencies and switch occupancy travel
-  in-band.
+  Both sinks file the frame's stamps into fixed-interval ring-buffer
+  series on the *simulated* clock.  A frame lost on the wire takes its
+  stamps with it -- in-band telemetry is lossy by construction -- so
+  the per-link send/drop/loss counters are recorded device-side at the
+  transmitter (INT "postcards"), while hop latencies and switch
+  occupancy travel in-band.
+* **Overflow.**  A series keeps ``TelemetryConfig.capacity`` interval
+  buckets.  A stamp whose bucket was evicted before its frame drained
+  counts in the series' ``late_drops`` (reported by
+  :meth:`Telemetry.summary` and ``telemetry_json``); it is never filed
+  under a newer interval.
 * **Detecting.**  On top of the series sit three detectors:
   sustained congestion (per-interval peak queueing delay over a
   threshold for N consecutive intervals), straggler workers
@@ -30,7 +37,7 @@ telemetry):
 
 Stamping is **off by default** and near-free when disabled: the hot
 paths test one attribute against ``None`` (benchmarked in
-``benchmarks/test_telemetry_overhead.py``).  Opt in per run::
+``benchmarks/test_obs_overhead.py``).  Opt in per run::
 
     obs = Observability(telemetry=True)      # or telemetry=TelemetryConfig(...)
     job = FabricJob(FabricConfig(obs=obs))
@@ -49,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CongestionReport",
-    "HopRecord",
     "HotSpineReport",
     "LinkSeries",
     "StragglerReport",
@@ -61,27 +67,6 @@ __all__ = [
     "detect_hot_spines",
     "detect_stragglers",
 ]
-
-
-@dataclass(slots=True)
-class HopRecord:
-    """One hop's stamp on a frame (the INT metadata word).
-
-    ``kind`` is ``"link"`` or ``"switch"``.  Link stamps fill the queue
-    and latency fields at transmit time; switch stamps fill the pool
-    fields at pipeline time.  ``ts`` is the simulated stamp time, which
-    is also the interval the record files into when drained.
-    """
-
-    kind: str
-    name: str
-    ts: float
-    queue_delay_s: float = 0.0
-    backlog_bytes: float = 0.0
-    backlog_frames: int = 0
-    hop_latency_s: float = 0.0
-    pool_occupancy: int = 0
-    pool_epoch: int = 0
 
 
 @dataclass
@@ -165,7 +150,11 @@ class _RingSeries:
     capacity eviction.  Buckets exist only for intervals that saw
     samples; a missing bucket is an idle interval.  Records older than
     the eviction horizon (a reused frame finally delivered long after
-    its stamp) are counted in ``late_drops``, never mis-filed."""
+    its stamp) are counted in ``late_drops``, never mis-filed.
+
+    Device-side records arrive in near-monotone time, so the series
+    keeps a *cursor* on the current bucket: the bucket lookup happens
+    once per interval, not once per record."""
 
     _factory: type
 
@@ -176,9 +165,12 @@ class _RingSeries:
         self._buckets: dict[int, Any] = {}
         self._evict_horizon = -1
         self.late_drops = 0
+        self._cur: Any = None
+        self._cur_idx = -1
 
-    def _bucket(self, ts: float):
-        idx = int(ts / self.interval_s)
+    def _at(self, idx: int):
+        """The bucket of interval ``idx`` (created on first use), or
+        None -- counted in ``late_drops`` -- behind the eviction horizon."""
         if idx <= self._evict_horizon:
             self.late_drops += 1
             return None
@@ -190,6 +182,21 @@ class _RingSeries:
                 del self._buckets[oldest]
                 if oldest > self._evict_horizon:
                     self._evict_horizon = oldest
+                if oldest == self._cur_idx:
+                    self._cur_idx = -1
+            if idx <= self._evict_horizon:
+                # older than everything a full series holds: evicted as
+                # it was opened
+                self.late_drops += 1
+                return None
+        return b
+
+    def _seek(self, idx: int):
+        """``_at(idx)``, moving the cursor to the bucket."""
+        b = self._at(idx)
+        if b is not None:
+            self._cur = b
+            self._cur_idx = idx
         return b
 
     def intervals(self) -> list:
@@ -219,10 +226,13 @@ class LinkSeries(_RingSeries):
 
     # -- device-side recording -----------------------------------------
     def record_send(self, ts: float, wire_bytes: int, queue_delay_s: float,
-                    backlog_bytes: float, backlog_frames: int) -> None:
-        b = self._bucket(ts)
+                    backlog_bytes: float, backlog_frames: int):
+        """File one transmitted frame; returns its bucket (None when
+        ``ts`` is behind the eviction horizon) for the in-band stamp."""
+        idx = int(ts / self.interval_s)
+        b = self._cur if idx == self._cur_idx else self._seek(idx)
         if b is None:
-            return
+            return None
         b.bytes_sent += wire_bytes
         b.frames += 1
         b.queue_delay_sum += queue_delay_s
@@ -232,9 +242,11 @@ class LinkSeries(_RingSeries):
             b.backlog_bytes_max = backlog_bytes
         if backlog_frames > b.backlog_frames_max:
             b.backlog_frames_max = backlog_frames
+        return b
 
     def record_drop(self, ts: float, lost: bool) -> None:
-        b = self._bucket(ts)
+        idx = int(ts / self.interval_s)
+        b = self._cur if idx == self._cur_idx else self._seek(idx)
         if b is None:
             return
         if lost:
@@ -243,14 +255,16 @@ class LinkSeries(_RingSeries):
             b.queue_drops += 1
 
     # -- in-band recording ---------------------------------------------
-    def record_latency(self, ts: float, latency_s: float) -> None:
-        b = self._bucket(ts)
-        if b is None:
+    def file(self, stamp: tuple) -> None:
+        """File one drained ``(bucket, hop latency)`` stamp."""
+        b, latency = stamp
+        if b is None or b.idx <= self._evict_horizon:
+            self.late_drops += 1
             return
-        b.latency_sum += latency_s
+        b.latency_sum += latency
         b.latency_n += 1
-        if latency_s > b.latency_max:
-            b.latency_max = latency_s
+        if latency > b.latency_max:
+            b.latency_max = latency
 
     # -- queries ---------------------------------------------------------
     def utilization(self, window: int | None = None,
@@ -306,7 +320,14 @@ class SwitchSeries(_RingSeries):
     _factory = _SwitchBucket
 
     def record_occupancy(self, ts: float, occupancy: int, epoch: int) -> None:
-        b = self._bucket(ts)
+        self.file((int(ts / self.interval_s), occupancy, epoch))
+
+    def file(self, stamp: tuple) -> None:
+        """File one drained ``(interval index, occupancy, epoch)`` stamp;
+        the bucket is created now, so an interval whose frames were all
+        lost downstream stays idle."""
+        idx, occupancy, epoch = stamp
+        b = self._cur if idx == self._cur_idx else self._seek(idx)
         if b is None:
             return
         b.samples += 1
@@ -335,8 +356,9 @@ class TelemetryCollector:
     """The sink side: drains stamped frames into the series.
 
     One collector serves every sink of a topology (hosts and switch
-    pipelines); ``drain`` consumes ``frame.hops`` and resets it so
-    pooled frames can be re-stamped on their next trip."""
+    pipelines); ``drain`` files the ``(series, stamp)`` pairs on
+    ``frame.hops`` and resets the field so pooled frames can be
+    re-stamped on their next trip."""
 
     def __init__(self, config: TelemetryConfig | None = None):
         self.config = config if config is not None else TelemetryConfig()
@@ -370,28 +392,18 @@ class TelemetryCollector:
         return s
 
     def drain(self, frame: "Frame", now: float, sink: str | None = None) -> None:
-        """File ``frame``'s hop records; called once per terminating frame."""
+        """File ``frame``'s hop stamps; called once per terminating frame."""
         hops = frame.hops
         if hops is None:
             return
         frame.hops = None
         self.frames_drained += 1
-        self.hops_drained += len(hops)
-        links = self.links
-        for rec in hops:
-            if rec.kind == "link":
-                s = links.get(rec.name)
-                if s is not None:
-                    s.record_latency(rec.ts, rec.hop_latency_s)
-            else:
-                self.switch_series(rec.name).record_occupancy(
-                    rec.ts, rec.pool_occupancy, rec.pool_epoch
-                )
-        if sink is not None:
-            msg = frame.message
-            if msg is not None and getattr(msg, "from_switch", False):
-                self.progress[sink] = self.progress.get(sink, 0) + 1
-                self.progress_last_ts[sink] = now
+        self.hops_drained += len(hops) >> 1
+        for i in range(0, len(hops), 2):
+            hops[i].file(hops[i + 1])
+        if sink is not None and getattr(frame.message, "from_switch", False):
+            self.progress[sink] = self.progress.get(sink, 0) + 1
+            self.progress_last_ts[sink] = now
 
 
 class LinkTap:
@@ -421,18 +433,14 @@ class LinkTap:
         if queue_delay < 0.0:
             queue_delay = 0.0
         backlog_bytes = queue_delay * series.rate_bps / 8.0
-        rec = HopRecord(
-            kind="link", name=series.name, ts=now,
-            queue_delay_s=queue_delay, backlog_bytes=backlog_bytes,
-            backlog_frames=backlog_frames, hop_latency_s=arrival - now,
+        stamp = (
+            series.record_send(
+                now, wire_bytes, queue_delay, backlog_bytes, backlog_frames
+            ),
+            arrival - now,
         )
         hops = frame.hops
-        if hops is None:
-            frame.hops = [rec]
-        else:
-            hops.append(rec)
-        series.record_send(now, wire_bytes, queue_delay, backlog_bytes,
-                           backlog_frames)
+        frame.hops = (series, stamp) if hops is None else hops + (series, stamp)
 
     def on_drop(self, now: float, lost: bool) -> None:
         self.series.record_drop(now, lost)
@@ -441,37 +449,52 @@ class LinkTap:
 class ChassisTap:
     """Pipeline-side stamper installed as ``SwitchChassis.telemetry``.
 
-    ``stamp`` reads pool occupancy and epoch off the loaded program
-    (dataplane adapters are unwrapped one level), so a reroute's program
-    swap is picked up without re-instrumenting; ``absorb`` drains frames
-    the pipeline terminated (aggregated partials, punted heartbeats,
-    fence drops)."""
+    ``observe`` reads the clock and the loaded program's pool occupancy
+    and epoch (dataplane adapters are unwrapped one level, so a
+    reroute's program swap is picked up without re-instrumenting) once
+    per pipeline pass, before the program runs.  A frame of that pass
+    either terminated here -- ``absorb`` files the observation and
+    drains what the frame carried (aggregated partials, punted
+    heartbeats, fence drops) -- or was forwarded as-is, and ``stamp``
+    sends the observation on in-band."""
 
-    __slots__ = ("chassis", "collector")
+    __slots__ = ("chassis", "collector", "series", "_seen")
 
     def __init__(self, chassis, collector: TelemetryCollector):
         self.chassis = chassis
         self.collector = collector
+        self.series = collector.switch_series(chassis.name)
+        #: the current pass's (interval index, occupancy, epoch) stamp
+        self._seen = (0, 0, 0)
 
-    def stamp(self, frame: "Frame") -> None:
+    def observe(self) -> None:
         chassis = self.chassis
         prog = chassis.program
         inner = getattr(prog, "program", None)
         if inner is not None:
             prog = inner
-        rec = HopRecord(
-            kind="switch", name=chassis.name, ts=chassis.sim.now,
-            pool_occupancy=getattr(prog, "occupied_slots", 0) or 0,
-            pool_epoch=getattr(prog, "epoch", 0) or 0,
+        self._seen = (
+            int(chassis.sim.now / self.series.interval_s),
+            getattr(prog, "occupied_slots", 0) or 0,
+            getattr(prog, "epoch", 0) or 0,
         )
+
+    def stamp(self, frame: "Frame") -> None:
         hops = frame.hops
-        if hops is None:
-            frame.hops = [rec]
-        else:
-            hops.append(rec)
+        here = (self.series, self._seen)
+        frame.hops = here if hops is None else hops + here
 
     def absorb(self, frame: "Frame") -> None:
-        self.collector.drain(frame, self.chassis.sim.now)
+        collector = self.collector
+        hops = frame.hops
+        frame.hops = None
+        collector.frames_drained += 1
+        collector.hops_drained += 1
+        self.series.file(self._seen)
+        if hops is not None:
+            collector.hops_drained += len(hops) >> 1
+            for i in range(0, len(hops), 2):
+                hops[i].file(hops[i + 1])
 
 
 # ----------------------------------------------------------------------
@@ -574,6 +597,21 @@ def detect_stragglers(
     return out
 
 
+def _spine_loads(
+    collector: TelemetryCollector, spine_trunks: dict[str, list[str]],
+    window: int, end_idx: int | None,
+) -> dict[str, float]:
+    """Mean trunk utilization per spine over the trailing ``window``."""
+    loads: dict[str, float] = {}
+    for spine, trunks in spine_trunks.items():
+        series = [collector.links[t] for t in trunks if t in collector.links]
+        loads[spine] = (
+            sum(s.utilization(window, end_idx) for s in series) / len(series)
+            if series else 0.0
+        )
+    return loads
+
+
 def detect_hot_spines(
     collector: TelemetryCollector,
     spine_trunks: dict[str, list[str]],
@@ -586,15 +624,7 @@ def detect_hot_spines(
     ``spine_trunks`` maps each spine name to its trunk link names (both
     directions); :class:`Telemetry` records it at instrument time."""
     cfg = config if config is not None else collector.config
-    loads: dict[str, float] = {}
-    for spine, trunks in spine_trunks.items():
-        series = [collector.links[t] for t in trunks if t in collector.links]
-        if not series:
-            loads[spine] = 0.0
-            continue
-        loads[spine] = sum(
-            s.utilization(cfg.load_window, end_idx) for s in series
-        ) / len(series)
+    loads = _spine_loads(collector, spine_trunks, cfg.load_window, end_idx)
     out: list[HotSpineReport] = []
     for spine, load in sorted(loads.items()):
         peers = [v for k, v in loads.items() if k != spine]
@@ -689,23 +719,21 @@ class Telemetry:
 
     def spine_loads(self, end_idx: int | None = None) -> dict[str, float]:
         """Mean trunk utilization per spine over the load window."""
-        cfg = self.config
-        out: dict[str, float] = {}
-        for spine, trunks in self.spine_trunks.items():
-            series = [
-                self.collector.links[t]
-                for t in trunks
-                if t in self.collector.links
-            ]
-            if not series:
-                out[spine] = 0.0
-                continue
-            out[spine] = sum(
-                s.utilization(cfg.load_window, end_idx) for s in series
-            ) / len(series)
-        return out
+        return _spine_loads(
+            self.collector, self.spine_trunks, self.config.load_window, end_idx
+        )
 
     # -- reporting -------------------------------------------------------
+    def late_drops(self) -> dict[str, int]:
+        """Records and stamps per series that arrived behind the
+        eviction horizon; series that lost none are absent."""
+        col = self.collector
+        return {
+            name: s.late_drops
+            for name, s in sorted({**col.links, **col.switches}.items())
+            if s.late_drops
+        }
+
     def as_dict(self) -> dict:
         """JSON-friendly snapshot: series summaries + detector reports."""
         col = self.collector
@@ -720,6 +748,7 @@ class Telemetry:
             },
             "frames_drained": col.frames_drained,
             "hops_drained": col.hops_drained,
+            "late_drops": sum(self.late_drops().values()),
             "links": {
                 name: {
                     "intervals": len(s),
@@ -729,6 +758,7 @@ class Telemetry:
                     "peak_queue_delay_s": s.peak_queue_delay(),
                     "peak_backlog_bytes": s.peak_backlog_bytes(),
                     "drop_rate": s.drop_rate(),
+                    "late_drops": s.late_drops,
                 }
                 for name, s in sorted(col.links.items())
                 if len(s)
@@ -739,6 +769,7 @@ class Telemetry:
                     "peak_occupancy": s.peak_occupancy(),
                     "mean_occupancy": s.mean_occupancy(),
                     "epoch": s.last_epoch(),
+                    "late_drops": s.late_drops,
                 }
                 for name, s in sorted(col.switches.items())
                 if len(s)
@@ -788,6 +819,14 @@ class Telemetry:
         ]
         if pools:
             lines.append("switch pools: " + "; ".join(pools))
+        late = self.late_drops()
+        lines.append(
+            "late drops: " + (
+                f"{sum(late.values())} (" + "; ".join(
+                    f"{name}: {n}" for name, n in late.items()
+                ) + ")" if late else "none"
+            )
+        )
         congested = self.congestion_reports()
         stragglers = self.straggler_reports()
         hot = self.hot_spine_reports()

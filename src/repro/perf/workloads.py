@@ -165,7 +165,7 @@ def fig4_telemetry(scale: float = 1.0) -> dict[str, Any]:
     stamping + interval-series cost in isolation).
 
     The *disabled* path -- no hub installed -- is what the <5% budget in
-    ``benchmarks/test_telemetry_overhead.py`` guards; this workload
+    ``benchmarks/test_obs_overhead.py`` guards; this workload
     tracks the opt-in price so regressions in the enabled path are
     visible in the bench history too.
     """

@@ -186,26 +186,32 @@ class Simulator:
         self._buckets: dict[int, list[tuple]] = {}
         self._bucket_heap: list[int] = []
         self._horizon_idx = 1 if scheduler == "wheel" else None
-        # observability hook (attach_obs); None keeps the event loop at
-        # one extra pointer test per event -- this loop is the hottest in
-        # the repo, so the instrumented path is strictly opt-in
-        self._obs_events = None
-        self._obs_heap = None
+        # set by stop(): makes run_deadline return after the callback
+        # that is running
+        self._stop = False
 
     def attach_obs(self, obs) -> None:
         """Report engine activity through a :class:`repro.obs.base.
         Observability` layer: total events fired and a pending-events
-        gauge.  A disabled layer costs nothing (no instruments bound)."""
+        gauge, both pulled when the registry is read, so the event loop
+        carries no instrumentation.  (:meth:`run_deadline` syncs
+        ``events_processed`` on return: a read from inside one of its
+        callbacks sees the count as of that call's entry.)"""
         if obs is None or not obs.metrics.enabled:
-            self._obs_events = None
-            self._obs_heap = None
             return
-        self._obs_events = obs.metrics.counter(
-            "sim_events_total", "simulation events fired"
-        )
-        self._obs_heap = obs.metrics.gauge(
+        events = obs.metrics.counter("sim_events_total", "simulation events fired")
+        pending = obs.metrics.gauge(
             "sim_pending_events", "events pending (incl. cancelled)"
         )
+        flushed = 0
+
+        def flush() -> None:
+            nonlocal flushed
+            events.inc(self.events_processed - flushed)
+            flushed = self.events_processed
+            pending.set(self._live + self._dead)
+
+        obs.metrics.on_collect(flush)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -217,8 +223,8 @@ class Simulator:
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``.
 
-        The body of ``_insert`` is inlined: this path carries every
-        retransmission timer (one per packet sent).
+        The insertion is inline: this path carries every retransmission
+        timer (one per packet sent).
         """
         if time < self.now:
             raise SimulationError(
@@ -243,9 +249,9 @@ class Simulator:
             heapq.heappush(self._heap, (time, seq, event, fn, args))
         return event
 
-    # NOTE: schedule_call / schedule_call_at inline the body of `_insert`
-    # (and the seq bump): they carry the bulk of the event volume -- one
-    # per frame hop -- and a call per insertion is measurable there.
+    # NOTE: schedule_call / schedule_call_at repeat schedule_at's insertion
+    # (and the seq bump) inline: they carry the bulk of the event volume --
+    # one per frame hop -- and a call per insertion is measurable there.
 
     def schedule_call(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fast-path schedule with no cancellation handle.
@@ -394,21 +400,6 @@ class Simulator:
         for k in range(i + 1, j):
             fn(items[k])
 
-    def _insert(self, entry: tuple) -> None:
-        horizon = self._horizon_idx
-        if horizon is not None:
-            bucket = int(entry[0] / self._gran)
-            if bucket >= horizon:
-                buckets = self._buckets
-                lst = buckets.get(bucket)
-                if lst is None:
-                    buckets[bucket] = [entry]
-                    heapq.heappush(self._bucket_heap, bucket)
-                else:
-                    lst.append(entry)
-                return
-        heapq.heappush(self._heap, entry)
-
     # ------------------------------------------------------------------
     # Internal bookkeeping
     # ------------------------------------------------------------------
@@ -499,9 +490,6 @@ class Simulator:
             self.now = entry[0]
             self._live -= 1
             self.events_processed += 1
-            if self._obs_events is not None:
-                self._obs_events.inc()
-                self._obs_heap.set(self._live + self._dead)
             entry[_FN](*entry[_ARGS])
             return True
 
@@ -528,8 +516,18 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
 
+    def stop(self) -> None:
+        """Make the running :meth:`run_deadline` return as soon as the
+        current callback does, leaving every other pending event --
+        equal-time ones included -- unfired.  Jobs whose heartbeat
+        timers keep the queue populated forever call this from their
+        completion callback.  Outside ``run_deadline`` it does nothing:
+        the flag is cleared on entry and on exit."""
+        self._stop = True
+
     def run_deadline(self, deadline: float) -> None:
-        """Fire events until none remain or the clock passes ``deadline``.
+        """Fire events until none remain, the clock passes ``deadline``,
+        or a callback calls :meth:`stop`.
 
         Exactly ``while step(): if now > deadline: break`` -- the event
         that crosses the deadline still fires (jobs use this to bound
@@ -538,7 +536,7 @@ class Simulator:
         in the repo.
         """
         pop = heapq.heappop
-        instrumented = self._obs_events is not None
+        self._stop = False
         # `events_processed` is only read between runs (nothing in src/
         # reads it from inside a callback), so it is accumulated in a
         # local and synced on every exit path; `_live` stays an attribute
@@ -562,13 +560,11 @@ class Simulator:
                 self.now = time
                 self._live -= 1
                 fired += 1
-                if instrumented:
-                    self._obs_events.inc()
-                    self._obs_heap.set(self._live + self._dead)
                 entry[_FN](*entry[_ARGS])
-                if time > deadline:
+                if time > deadline or self._stop:
                     return
         finally:
+            self._stop = False
             self.events_processed += fired
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:

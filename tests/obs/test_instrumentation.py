@@ -66,8 +66,73 @@ class TestLosslessJob:
 
     def test_sim_counters_attached(self):
         obs = Observability()
-        run_job(obs)
-        assert obs.metrics.get("sim_events_total").value > 0
+        job = run_job(obs)
+        assert (obs.metrics.get("sim_events_total").value
+                == job.sim.events_processed)
+        assert obs.metrics.get("sim_pending_events").value == 0
+
+    def test_mid_run_read_is_fresh_without_an_explicit_flush(self):
+        """Nothing on the hot paths touches an instrument any more, so a
+        read from inside a running simulation must still see every
+        packet up to that instant."""
+        obs = Observability(tracing_enabled=False)
+        job = SwitchMLJob(SwitchMLConfig(num_workers=4, pool_size=8, obs=obs))
+        seen = []
+
+        def probe():
+            snap = obs.metrics.as_dict()
+            seen.append((
+                sum(v for k, v in snap.items()
+                    if k.startswith("worker_packets_sent_total")),
+                sum(w.stats.packets_sent for w in job.workers),
+                snap["worker_rtt_seconds_count"],
+                sum(w.stats.results_received for w in job.workers),
+                snap["switch_contributions_total"],
+                job.program.contributions,
+                snap["switch_slots_occupied"],
+                job.program.occupied_slots,
+            ))
+
+        for t in (2e-5, 4e-5, 8e-5):
+            job.sim.schedule_at(t, probe)
+        job.all_reduce(num_elements=32 * 512, verify=True)
+        assert len(seen) == 3
+        for sent_m, sent, rtts_m, rtts, contrib_m, contrib, occ_m, occ in seen:
+            assert (sent_m, rtts_m, contrib_m, occ_m) == (sent, rtts, contrib, occ)
+        # mid-run for real: the counts grew from probe to probe
+        assert 0 < seen[0][0] < seen[1][0] < seen[2][0]
+
+    def test_registry_shared_across_two_jobs_accumulates(self):
+        obs = Observability(tracing_enabled=False)
+        first = run_job(obs)
+        sent_first = sum(w.stats.packets_sent for w in first.workers)
+        assert obs.metrics.get("switch_contributions_total").value == sent_first
+        second = run_job(obs, num_elements=32 * 128)
+        sent_second = sum(w.stats.packets_sent for w in second.workers)
+        metrics = obs.metrics
+        assert metrics.get("switch_contributions_total").value == (
+            sent_first + sent_second
+        )
+        assert sum(
+            s.value for s in metrics.get("worker_packets_sent_total").samples()
+        ) == sent_first + sent_second
+        assert metrics.get("sim_events_total").value == (
+            first.sim.events_processed + second.sim.events_processed
+        )
+        assert metrics.get("worker_tat_seconds").count == 8
+
+    def test_second_reduction_on_one_job_accumulates(self):
+        # start() replaces WorkerStats: the counts it had gained must be
+        # banked, not lost and not double-counted
+        obs = Observability(tracing_enabled=False)
+        job = run_job(obs)
+        sent = sum(w.stats.packets_sent for w in job.workers)
+        job.all_reduce(num_elements=32 * 64, verify=True)
+        sent += sum(w.stats.packets_sent for w in job.workers)
+        assert sum(
+            s.value
+            for s in obs.metrics.get("worker_packets_sent_total").samples()
+        ) == sent
 
     def test_chrome_export_of_real_run_validates(self):
         obs = Observability()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.obs.registry import (
@@ -105,6 +106,26 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", buckets=())
 
+    def test_deferred_fold_equals_one_update_per_sample(self):
+        # 10 001 samples: crosses the unprompted-fold threshold, ends
+        # with a partial pending list, and mixes observe/observe_many
+        rng = np.random.default_rng(3)
+        values = (10.0 ** rng.uniform(-7, 1, 10_001)).tolist()
+        h = Histogram("lat_seconds")
+        for v in values[:5000]:
+            h.observe(v)
+        h.observe_many(np.array(values[5000:]))
+        total, counts = 0.0, [0] * (len(h.buckets) + 1)
+        for v in values:
+            total += v
+            counts[next(
+                (i for i, bound in enumerate(h.buckets) if v <= bound), -1
+            )] += 1
+        assert h.sum == total  # to the bit: the fold adds in order
+        assert h.bucket_counts == counts
+        assert (h.count, h.min, h.max) == (len(values), min(values), max(values))
+        assert all(type(n) is int for n in h.bucket_counts)
+
 
 class TestLabels:
     def test_children_are_interned(self):
@@ -116,6 +137,17 @@ class TestLabels:
         c = Counter("pkts_total", label_names=("wid",))
         with pytest.raises(ValueError):
             c.inc()
+
+    def test_every_family_update_requires_labels(self):
+        g = Gauge("depth", label_names=("q",))
+        h = Histogram("lat", label_names=("q",))
+        for update in (g.set, g.inc, g.dec, h.observe, h.observe_many):
+            with pytest.raises(ValueError, match=r"call \.labels"):
+                update(1.0)
+        # the family is still its kind, and its children record
+        assert isinstance(g, Gauge) and isinstance(g.labels("0"), Gauge)
+        g.labels("0").set(3)
+        assert [s.value for s in g.samples()] == [3]
 
     def test_wrong_label_count_rejected(self):
         c = Counter("pkts_total", label_names=("wid",))
@@ -176,6 +208,54 @@ class TestRegistry:
         reg.counter("pkts_total").inc(3)
         text = reg.render()
         assert "pkts_total" in text and "3" in text
+
+
+class TestCollectHooks:
+    """The pull model: flushers run before every public read."""
+
+    def _mirrored(self):
+        reg = MetricsRegistry()
+        source = {"events": 0, "depth": 0}
+        events, depth = reg.counter("events_total"), reg.gauge("depth")
+        flushed = [0]
+
+        def flush():
+            events.inc(source["events"] - flushed[0])
+            flushed[0] = source["events"]
+            depth.set(source["depth"])
+
+        reg.on_collect(flush)
+        return reg, source
+
+    @pytest.mark.parametrize("read", [
+        lambda reg: reg.get("events_total").value,
+        lambda reg: reg.as_dict()["events_total"],
+        lambda reg: {s.name: s.value for s in reg.collect()}["events_total"],
+        lambda reg: float(reg.render().split("events_total")[1].split()[0]),
+    ])
+    def test_every_read_is_fresh(self, read):
+        reg, source = self._mirrored()
+        source["events"] = 5
+        assert read(reg) == 5
+        source["events"] = 9
+        assert read(reg) == 9
+
+    def test_names_runs_the_flushers_too(self):
+        reg = MetricsRegistry()
+        reg.on_collect(lambda: reg.counter("made_on_flush_total"))
+        assert reg.names() == ["made_on_flush_total"]
+
+    def test_gauge_follows_the_source_down(self):
+        reg, source = self._mirrored()
+        source["depth"] = 7
+        assert reg.get("depth").value == 7
+        source["depth"] = 2
+        assert reg.get("depth").value == 2
+
+    def test_disabled_registry_drops_flushers(self):
+        reg = MetricsRegistry(enabled=False)
+        reg.on_collect(lambda: pytest.fail("a disabled registry never reads"))
+        assert reg.collect() == [] and reg.names() == []
 
 
 class TestDisabledRegistry:

@@ -1,4 +1,4 @@
-"""In-band telemetry tests: hop records, interval series, the collector,
+"""In-band telemetry tests: tap stamps, interval series, the collector,
 the detectors, and the instrumented single-rack path."""
 
 import math
@@ -9,7 +9,7 @@ from repro.core.job import SwitchMLConfig, SwitchMLJob
 from repro.net.packet import Frame
 from repro.obs.base import Observability
 from repro.obs.telemetry import (
-    HopRecord,
+    ChassisTap,
     LinkSeries,
     LinkTap,
     SwitchSeries,
@@ -111,8 +111,29 @@ class TestSwitchSeries:
         assert s.last_epoch() == 1
 
 
+class FakeChassis:
+    """The three attributes a ChassisTap reads off its switch."""
+
+    class _Sim:
+        now = 0.0
+
+    class _Program:
+        occupied_slots = 0
+        epoch = 0
+
+    def __init__(self, name="sw"):
+        self.name = name
+        self.sim = self._Sim()
+        self.program = self._Program()
+
+    def at(self, now, occupied_slots=0, epoch=0):
+        self.sim.now = now
+        self.program.occupied_slots = occupied_slots
+        self.program.epoch = epoch
+
+
 class TestLinkTap:
-    def test_transmit_stamps_and_records(self):
+    def test_transmit_records_device_side_and_stamps_in_band(self):
         s = link_series(rate_bps=1e9)
         tap = LinkTap(s)
         frame = Frame(wire_bytes=125)
@@ -120,48 +141,182 @@ class TestLinkTap:
         # the frame waited 1 us behind the transmitter
         tap.on_transmit(frame, now=0.0, wire_bytes=125, done=2e-6,
                         arrival=2.5e-6)
-        (rec,) = frame.hops
-        assert rec.kind == "link" and rec.name == "l"
-        assert rec.queue_delay_s == pytest.approx(1e-6)
-        assert rec.backlog_bytes == pytest.approx(125.0)
-        assert rec.backlog_frames == 0
-        assert rec.hop_latency_s == pytest.approx(2.5e-6)
         b = s.intervals()[0]
-        assert b.frames == 1
+        assert frame.hops == (s, (b, 2.5e-6))
+        assert (b.frames, b.bytes_sent) == (1, 125)
         assert b.queue_delay_max == pytest.approx(1e-6)
+        assert b.backlog_bytes_max == pytest.approx(125.0)
+        assert b.backlog_frames_max == 0
+        # the hop latency travels in-band: filed only when drained
+        assert b.latency_n == 0
+        TelemetryCollector().drain(frame, now=3e-6)
+        assert frame.hops is None
+        assert b.latency_n == 1
+        assert b.latency_max == pytest.approx(2.5e-6)
 
     def test_backlog_frames_counts_undeparted_frames(self):
-        tap = LinkTap(link_series(rate_bps=1e9))
-        f1, f2 = Frame(wire_bytes=125), Frame(wire_bytes=125)
-        tap.on_transmit(f1, now=0.0, wire_bytes=125, done=1e-6, arrival=2e-6)
-        tap.on_transmit(f2, now=0.0, wire_bytes=125, done=2e-6, arrival=3e-6)
-        assert f1.hops[0].backlog_frames == 0
-        assert f2.hops[0].backlog_frames == 1
+        s = link_series(rate_bps=1e9)
+        tap = LinkTap(s)
+        tap.on_transmit(Frame(wire_bytes=125), now=0.0, wire_bytes=125,
+                        done=1e-6, arrival=2e-6)
+        assert s.intervals()[0].backlog_frames_max == 0
+        tap.on_transmit(Frame(wire_bytes=125), now=0.0, wire_bytes=125,
+                        done=2e-6, arrival=3e-6)
+        assert s.intervals()[0].backlog_frames_max == 1
+
+    def test_second_hop_appends_to_the_flat_tuple(self):
+        a, b = link_series("a"), link_series("b")
+        frame = Frame(wire_bytes=100)
+        LinkTap(a).on_transmit(frame, 0.0, 100, 1e-7, 6e-7)
+        LinkTap(b).on_transmit(frame, 1e-6, 100, 1.1e-6, 1.6e-6)
+        assert frame.hops[::2] == (a, b)
+        col = TelemetryCollector()
+        col.drain(frame, now=2e-6)
+        assert (col.frames_drained, col.hops_drained) == (1, 2)
+        assert a.intervals()[0].latency_n == b.intervals()[0].latency_n == 1
+
+    def test_out_of_order_send_leaves_the_cursor_interval(self):
+        s = link_series()
+        tap = LinkTap(s)
+        for now in (INTERVAL * 2.5, INTERVAL * 0.5, INTERVAL * 2.6):
+            tap.on_transmit(Frame(wire_bytes=10), now, 10, now, now)
+        assert [(b.idx, b.frames) for b in s.intervals()] == [(0, 1), (2, 2)]
 
 
-class TestCollector:
-    def test_drain_files_records_and_resets_hops(self):
+class TestOverflow:
+    """Overflow is visible, never silent: a stamp that cannot be filed
+    where it belongs is counted in ``late_drops``."""
+
+    def _wrapped(self, hub=None):
+        """Three frames sent in intervals 0, 1, 2 of a 2-bucket series:
+        interval 0 is evicted while its frame is still in flight."""
+        s = (
+            link_series(capacity=2) if hub is None
+            else hub.collector.link_series("a->b", 10e9)
+        )
+        tap = LinkTap(s)
+        frames = [Frame(wire_bytes=10) for _ in range(3)]
+        for i, frame in enumerate(frames):
+            now = i * INTERVAL
+            tap.on_transmit(frame, now, 10, now, now + (i + 1) * 1e-6)
+        return s, frames
+
+    def test_evicted_bucket_drops_the_stamp(self):
+        s, frames = self._wrapped()
+        assert [b.idx for b in s.intervals()] == [1, 2]
+        col = TelemetryCollector()
+        for frame in frames:
+            col.drain(frame, now=1.0)
+        # every frame and hop is counted; one stamp had nowhere to go
+        assert (col.frames_drained, col.hops_drained) == (3, 3)
+        assert s.late_drops == 1
+
+    def test_late_stamp_is_not_filed_into_a_newer_bucket(self):
+        s, frames = self._wrapped()
+        TelemetryCollector().drain(frames[0], now=1.0)
+        assert [b.latency_n for b in s.intervals()] == [0, 0]
+        TelemetryCollector().drain(frames[2], now=1.0)
+        assert [(b.idx, b.latency_n, b.latency_max) for b in s.intervals()] == [
+            (1, 0, 0.0), (2, 1, pytest.approx(3e-6)),
+        ]
+
+    def test_device_side_record_behind_the_horizon(self):
+        s, _frames = self._wrapped()
+        frame = Frame(wire_bytes=10)
+        LinkTap(s).on_transmit(frame, 0.0, 10, 0.0, 1e-6)  # interval 0 again
+        assert s.late_drops == 1 and len(s) == 2
+        TelemetryCollector().drain(frame, now=1.0)  # its stamp has no bucket
+        assert s.late_drops == 2
+
+    def test_switch_series_eviction(self):
+        col = TelemetryCollector(TelemetryConfig(capacity=2))
+        chassis = FakeChassis()
+        tap = ChassisTap(chassis, col)
+        frames = [Frame(wire_bytes=10) for _ in range(3)]
+        for i, frame in enumerate(frames):
+            chassis.at(i * INTERVAL, occupied_slots=10 + i)
+            tap.observe()
+            tap.stamp(frame)  # forwarded as-is: the stamp rides on
+        for frame in reversed(frames):
+            col.drain(frame, now=1.0)
+        series = col.switches["sw"]
+        # drained newest first: intervals 2 and 1 fill the series, and
+        # the stamp for interval 0 would be evicted as it was filed
+        assert [(b.idx, b.occ_max) for b in series.intervals()] == [(1, 11), (2, 12)]
+        assert series.late_drops == 1
+        chassis.at(3 * INTERVAL, occupied_slots=13)
+        tap.observe()
+        tap.absorb(Frame(wire_bytes=10))  # opens interval 3, evicts 1
+        old = Frame(wire_bytes=10)
+        old.hops = (series, (1, 99, 0))
+        col.drain(old, now=1.0)
+        assert series.late_drops == 2
+        assert [(b.idx, b.occ_max) for b in series.intervals()] == [(2, 12), (3, 13)]
+
+    def test_late_drops_reported(self):
+        hub = Telemetry(TelemetryConfig(capacity=2))
+        _s, frames = self._wrapped(hub)
+        for frame in frames:
+            hub.collector.drain(frame, now=1.0)
+        assert hub.late_drops() == {"a->b": 1}
+        doc = hub.as_dict()
+        assert doc["late_drops"] == 1
+        assert doc["links"]["a->b"]["late_drops"] == 1
+        assert "late drops: 1 (a->b: 1)" in hub.summary()
+        assert "late drops: none" in Telemetry().summary()
+
+
+class TestChassisTap:
+    def test_absorb_files_the_observation_and_drains_the_frame(self):
         col = TelemetryCollector()
         link = col.link_series("a->b", 10e9)
+        chassis = FakeChassis()
+        tap = ChassisTap(chassis, col)
         frame = Frame(wire_bytes=180)
-        frame.hops = [
-            HopRecord(kind="link", name="a->b", ts=1e-6, hop_latency_s=2e-6),
-            HopRecord(kind="switch", name="sw", ts=2e-6, pool_occupancy=5,
-                      pool_epoch=1),
-        ]
-        col.drain(frame, now=5e-6)
+        LinkTap(link).on_transmit(frame, 1e-6, 180, 1.2e-6, 3e-6)
+        chassis.at(2e-6, occupied_slots=5, epoch=1)
+        tap.observe()
+        tap.absorb(frame)
         assert frame.hops is None
         assert (col.frames_drained, col.hops_drained) == (1, 2)
         assert link.intervals()[0].latency_n == 1
         assert col.switches["sw"].peak_occupancy() == 5
+        assert col.switches["sw"].last_epoch() == 1
 
+    def test_absorbing_an_unstamped_frame_counts_the_pipeline_hop(self):
+        col = TelemetryCollector()
+        tap = ChassisTap(FakeChassis(), col)
+        tap.observe()
+        tap.absorb(Frame(wire_bytes=180))
+        assert (col.frames_drained, col.hops_drained) == (1, 1)
+
+    def test_forwarded_frame_carries_the_observation_to_its_sink(self):
+        col = TelemetryCollector()
+        chassis = FakeChassis()
+        tap = ChassisTap(chassis, col)
+        frame = Frame(wire_bytes=180)
+        chassis.at(INTERVAL * 1.5, occupied_slots=7)
+        tap.observe()
+        tap.stamp(frame)
+        assert frame.hops == (col.switches["sw"], (1, 7, 0))
+        # the bucket is created when the stamp drains, under the stamp's
+        # interval, whatever the pipeline has seen since
+        assert len(col.switches["sw"]) == 0
+        chassis.at(INTERVAL * 9.5, occupied_slots=1)
+        tap.observe()
+        col.drain(frame, now=INTERVAL * 9.5)
+        (b,) = col.switches["sw"].intervals()
+        assert (b.idx, b.occ_max) == (1, 7)
+
+
+class TestCollector:
     def test_progress_counts_switch_results_per_sink(self):
         class Result:
             from_switch = True
 
         col = TelemetryCollector()
         frame = Frame(wire_bytes=180, message=Result())
-        frame.hops = []
+        frame.hops = ()
         col.drain(frame, now=1e-6, sink="w3")
         assert col.progress == {"w3": 1}
         assert col.progress_last_ts["w3"] == pytest.approx(1e-6)

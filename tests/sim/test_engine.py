@@ -155,6 +155,54 @@ class TestRunControl:
         assert sim.events_processed == 4
 
 
+class TestStop:
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    def test_stop_from_a_callback_leaves_equal_time_events_unfired(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        out = []
+
+        def finish():
+            out.append("finish")
+            sim.stop()
+            out.append("callback ran to its end")
+
+        sim.schedule(1.0, out.append, "before")
+        sim.schedule(2.0, finish)
+        sim.schedule(2.0, out.append, "same instant")
+        sim.schedule(3.0, out.append, "later")
+        sim.run_deadline(10.0)
+        assert out == ["before", "finish", "callback ran to its end"]
+        assert (sim.now, sim.events_processed, sim.pending) == (2.0, 2, 2)
+        # the flag does not outlive the run: the rest fires next time
+        sim.run_deadline(10.0)
+        assert out[3:] == ["same instant", "later"]
+        assert sim.events_processed == 4
+
+    def test_stop_outside_a_run_does_not_cut_the_next_one_short(self):
+        sim = Simulator()
+        out = []
+        sim.stop()
+        for t in (1.0, 2.0):
+            sim.schedule(t, out.append, t)
+        sim.run_deadline(10.0)
+        assert out == [1.0, 2.0]
+
+    def test_stop_cleared_when_a_callback_raises(self):
+        sim = Simulator()
+        out = []
+
+        def boom():
+            sim.stop()
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, out.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run_deadline(10.0)
+        sim.run_deadline(10.0)
+        assert out == ["after"]
+
+
 class TestRandomness:
     def test_named_streams_are_deterministic(self):
         a = Simulator(seed=7).rng("x").random(5)
