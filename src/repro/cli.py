@@ -684,6 +684,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """Shard one scenario across seeds/grid points/processes."""
     from repro.perf import write_bench
     from repro.sweep import SCENARIOS, make_tasks, run_sweep, sweep_summary
+    from repro.sweep.scenarios import SCENARIO_KNOBS, check_knobs
 
     if args.scenario not in SCENARIOS:
         print(f"sweep: unknown scenario {args.scenario!r} "
@@ -696,6 +697,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             _parse_knob(f"_={v}")[1] for v in str(raw).split(",")
         ]
         grid[key] = values
+    try:
+        check_knobs(
+            [*params, *grid], SCENARIO_KNOBS[args.scenario],
+            f"sweep {args.scenario}",
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     tasks = make_tasks(
         args.scenario, args.seed, args.seeds, params=params, grid=grid
     )
@@ -735,7 +744,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         draw = payload.get("draw", payload) if isinstance(payload, dict) else payload
         if "result" in draw:
             draw = draw["result"]["draw"]
-        out = replay_draw(draw)
+        try:
+            out = replay_draw(draw)
+        except ValueError as exc:  # a stale or malformed line, not a finding
+            print(f"fuzz --replay: {exc}", file=sys.stderr)
+            return 2
         _emit_json({"draw": draw, **out})
         return 1 if out["violations"] else 0
 

@@ -313,14 +313,11 @@ def load_link_kernel() -> CompiledLinkKernel | None:
 
     Unlike the switch kernel this is not opt-in: its output is
     bit-identical to the Python loop by construction (pinned by
-    ``tests/core/test_backend_equivalence.py``), so it is built on
+    ``tests/net/test_link_kernel.py``), so it is built on
     first use whenever a C compiler is available and silently skipped
-    otherwise.  ``REPRO_LINK_KERNEL=off`` forces the Python loop (for
-    A/B timing and for exercising the fallback in tests).
+    otherwise.
     """
     global _cached_link_kernel, _link_cache_state
-    if os.environ.get("REPRO_LINK_KERNEL", "").strip().lower() in ("off", "0", "no"):
-        return None
     if _link_cache_state is None:
         try:
             lib, so_path = _compile_lib()

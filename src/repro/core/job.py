@@ -49,6 +49,18 @@ class SwitchMLConfig:
 
     Defaults are the paper's 10 Gbps setting: 8 workers, pool of 128
     slots, k = 32 elements per packet, 1 ms retransmission timeout.
+
+    ``burst_epsilon`` is the one execution dial; the code picks the
+    path from it.  At 0 (default) every frame is its own engine event
+    through the per-packet bodies -- ``SwitchMLProgram.handle``,
+    ``SwitchMLWorker._on_result``, ``Link.send``, ``Host.deliver`` --
+    which are the executable spec and hold the tracked fingerprints.
+    Above 0, links, hosts and the switch coalesce arrivals into
+    epsilon-wide windows and everything moves in batches (frame trains
+    out, RX bursts in, the NumPy/C ``handle_batch`` bodies): the same
+    tensors and the same loss recovery from far fewer events, at the
+    price of up to epsilon of added latency per hop -- a fidelity dial,
+    not a free speed-up (docs/PERFORMANCE.md has both sides measured).
     """
 
     num_workers: int = 8
@@ -84,39 +96,31 @@ class SwitchMLConfig:
     #: reuse relies on FIFO delivery to prove no frame is mutated while
     #: still in flight.  Force with True/False for A/B testing.
     reuse_buffers: bool | None = None
-    #: execution granularity: "packet" replays the event-per-packet
-    #: schedule (bit-identical to the tracked determinism fingerprints);
-    #: "burst" drains each simultaneous-arrival group through one
-    #: vectorized handler -- same final tensors, retransmission counts,
-    #: and completion times, fewer engine events (DESIGN note in
-    #: docs/ARCHITECTURE.md).
-    granularity: str = "packet"
-    #: epsilon-window coalescing (requires ``granularity="burst"``):
-    #: arrivals within ``burst_epsilon`` seconds of a group's opener ride
-    #: the same drain event, growing the batches the vectorized bodies
-    #: see.  0 (default) coalesces only exact ties and stays
-    #: bit-identical to packet mode; positive values (keep them well
-    #: under the retransmission timeout) trade <= epsilon extra latency
-    #: per hop for fewer, larger batches -- protocol-equivalent (same
-    #: tensors, same retransmissions under the same loss draws), not
-    #: schedule-identical.
+    #: epsilon-window coalescing, seconds.  0 = the per-packet path.
+    #: Positive: arrivals within ``burst_epsilon`` of a window's opener
+    #: ride the same drain event at link, host and switch, growing the
+    #: batches the vectorized bodies see -- protocol-equivalent (same
+    #: tensors, same retransmission regime), not schedule-identical.  A
+    #: round trip crosses four windows, so ``4 * burst_epsilon`` must
+    #: stay under ``timeout_s`` or every timer fires spuriously.
     burst_epsilon: float = 0.0
     #: switch inner-loop backend: None reads $REPRO_BACKEND ("numpy"
     #: default; "c" = compiled kernel with NumPy fallback).  See
     #: :mod:`repro.core.backend`.
     backend: str | None = None
-    #: frame-train egress (requires ``granularity="burst"``): workers and
-    #: the switch emit each batch of outbound frames as one *train* --
-    #: one engine event carrying the ordered frame vector, with per-frame
-    #: RNG draws pre-sampled in stream order -- instead of one event per
-    #: frame.  At ``burst_epsilon == 0`` the schedule stays bit-identical
-    #: to packet mode (same draws, same stats, same fingerprints); see
-    #: tests/integration/test_train_equivalence.py.
-    train_egress: bool = False
-    #: split trains longer than this many frames into consecutive
-    #: sub-trains (bounds per-event work); 0 = unlimited
-    train_cap: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        eps, timeout = self.burst_epsilon, self.timeout_s
+        if eps < 0 or (eps > 0 and 4 * eps >= timeout):
+            raise ValueError(
+                f"burst_epsilon={eps} must satisfy 0 <= 4 * burst_epsilon < "
+                f"timeout_s={timeout}: a round trip crosses four coalescing "
+                "windows, so a wider one makes every retransmission timer "
+                "spurious"
+            )
+        if self.fp16_switch and self.lossless_switch:
+            raise ValueError("fp16_switch and lossless_switch are exclusive")
 
 
 @dataclass
@@ -273,16 +277,15 @@ class SwitchMLDataplane:
         return PortDecision(deliveries=deliveries)
 
     def process_batch(self, group: list[tuple[Frame, int]]) -> list[PortDecision]:
-        """Burst-granularity counterpart of :meth:`process`.
+        """Window-path counterpart of :meth:`process`.
 
-        ``group`` is one simultaneous-arrival batch ``[(frame, in_port),
-        ...]`` in arrival order.  Returns the non-drop decisions in the
-        order the triggering frames arrived -- the order their
-        individual pipeline completions would have emitted in packet
-        mode -- so every downstream link serializes, and draws
-        randomness, identically.  Absorbed frames (drops, corrupt or
-        non-update traffic) produce no decision; the chassis accounts
-        them from the length difference.
+        ``group`` is one ingress window ``[(frame, in_port), ...]`` in
+        arrival order.  Returns the non-drop decisions in the order the
+        triggering frames arrived -- the order their individual pipeline
+        completions would have emitted -- so every downstream link
+        serializes, and draws randomness, in that order.  Absorbed
+        frames (drops, corrupt or non-update traffic) produce no
+        decision; the chassis accounts them from the length difference.
         """
         updates: list[SwitchMLPacket] = []
         for frame, _in_port in group:
@@ -356,19 +359,6 @@ class SwitchMLJob:
     def __init__(self, config: SwitchMLConfig | None = None):
         self.config = config if config is not None else SwitchMLConfig()
         cfg = self.config
-        if cfg.granularity not in ("packet", "burst"):
-            raise ValueError(
-                f"granularity must be 'packet' or 'burst', got {cfg.granularity!r}"
-            )
-        burst = cfg.granularity == "burst"
-        if cfg.burst_epsilon < 0:
-            raise ValueError("burst_epsilon must be non-negative")
-        if cfg.burst_epsilon > 0 and not burst:
-            raise ValueError("burst_epsilon requires granularity='burst'")
-        if cfg.train_cap < 0:
-            raise ValueError("train_cap must be non-negative")
-        if cfg.train_egress and not burst:
-            raise ValueError("train_egress requires granularity='burst'")
         self.sim = Simulator(seed=cfg.seed, scheduler=cfg.scheduler)
         # zero-copy hot paths need FIFO delivery; jitter reorders (see
         # SwitchMLConfig.reuse_buffers)
@@ -388,8 +378,6 @@ class SwitchMLJob:
                 loss_factory=cfg.loss_factory,
             ),
         )
-        if cfg.fp16_switch and cfg.lossless_switch:
-            raise ValueError("fp16_switch and lossless_switch are exclusive")
         self.obs = cfg.obs if cfg.obs is not None else NULL_OBS
         self.sim.attach_obs(self.obs)
         # In-band telemetry: stamp the rack's links and pipeline, drain
@@ -425,33 +413,25 @@ class SwitchMLJob:
                 obs=self.obs, clock=clock, trace=self.trace,
                 backend=cfg.backend,
             )
-        if burst:
-            # rewire the rack for burst granularity: uplinks feed the
-            # chassis's grouping ingress, downlinks terminate at the
-            # host's grouping RX, and the links themselves coalesce
-            # coinciding arrivals.  Rewiring (instead of branching in
-            # the per-frame paths) keeps packet mode's hot paths
-            # byte-for-byte identical to PR 3.
+        eps = cfg.burst_epsilon
+        if eps > 0.0:
+            # the window path: uplinks drain into the chassis's ingress
+            # window, downlinks into the host's RX window, and the links
+            # themselves fold arrivals.  Rewiring (instead of branching
+            # in the per-frame receivers) keeps the per-packet path's
+            # hot code free of the choice.
             switch = self.rack.switch
-            eps = cfg.burst_epsilon
             switch.burst_epsilon = eps
-            switch.train_egress = cfg.train_egress
-            switch.train_cap = cfg.train_cap
             for w in range(cfg.num_workers):
                 port = self.rack.host_port(w)
-                self.rack.uplinks[w].connect(
-                    switch.burst_ingress_callback(port),
+                host = self.rack.hosts[w]
+                up, down = self.rack.uplinks[w], self.rack.downlinks[w]
+                up.connect(
+                    switch.ingress_callback(port),
                     switch.burst_ingress_many_callback(port),
                 )
-                self.rack.uplinks[w].burst = True
-                self.rack.uplinks[w].burst_epsilon = eps
-                self.rack.downlinks[w].connect(
-                    self.rack.hosts[w].deliver_burst,
-                    self.rack.hosts[w].deliver_burst_many,
-                )
-                self.rack.downlinks[w].burst = True
-                self.rack.downlinks[w].burst_epsilon = eps
-                self.rack.hosts[w].burst_epsilon = eps
+                down.connect(host.deliver, host.deliver_burst_many)
+                up.burst_epsilon = down.burst_epsilon = host.burst_epsilon = eps
         worker_ports = {w: self.rack.host_port(w) for w in range(cfg.num_workers)}
         worker_names = {w: self.rack.hosts[w].name for w in range(cfg.num_workers)}
         self.rack.switch.load_program(
@@ -485,10 +465,7 @@ class SwitchMLJob:
                 epoch=cfg.epoch,
                 obs=self.obs,
                 reuse_buffers=reuse,
-                granularity=cfg.granularity,
-                burst_epsilon=cfg.burst_epsilon,
-                train_egress=cfg.train_egress,
-                train_cap=cfg.train_cap,
+                burst_epsilon=eps,
             )
             self.rack.hosts[w].attach_agent(worker)
             self.workers.append(worker)

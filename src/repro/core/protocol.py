@@ -9,7 +9,7 @@ that layout on both protocol ends:
   NumPy arrays over the slot index: outstanding offset and pool version,
   send timestamps, retransmission-timer deadlines, retry/backoff
   bookkeeping, and per-slot RTT accumulators.  The deadline array is
-  what lets burst execution replace ``s`` engine timer events with one:
+  what lets the window path replace ``s`` engine timer events with one:
   a slot with no outstanding timer holds ``+inf``, the earliest finite
   deadline is the single armed engine timer, and :meth:`due` yields the
   expired slots in exactly the order per-slot timers would have fired
@@ -98,8 +98,8 @@ class WorkerSlotState:
     ``deadline`` / ``arm_seq``
         Retransmission-timer expiry (``+inf`` = no timer) and a
         monotonically increasing arming sequence number.  Together they
-        define the firing order burst mode must replay: packet mode's
-        per-slot timers fire in engine ``(time, seq)`` order, which for
+        define the firing order the window path replays: the per-packet
+        path's per-slot timers fire in engine ``(time, seq)`` order, which for
         timers armed through :meth:`WorkerSlotState.due` is exactly
         ``(deadline, arm_seq)``.
     ``retransmitted`` / ``retries`` / ``backoff``
@@ -124,7 +124,7 @@ class WorkerSlotState:
     index costs several times a list index on the per-packet path; the
     vectorized batch bodies flipped that trade -- those fields are now
     read and written whole-batch with fancy indexing, and the remaining
-    scalar accesses (packet-granularity mode) go through ``.item()``-free
+    scalar accesses (the per-packet path) go through ``.item()``-free
     single-element indexing whose cost is amortized by the batch wins.
     Everything resets in place, so hot-path aliases stay live.
     """
@@ -187,7 +187,7 @@ class WorkerSlotState:
         self.tat_finish = float("nan")
 
     # ------------------------------------------------------------------
-    # deadline timer support (burst mode's singleton timer)
+    # deadline timer support (the window path's singleton timer)
     # ------------------------------------------------------------------
     def min_deadline(self) -> float:
         """Earliest outstanding timer deadline (``inf`` when none)."""
@@ -195,8 +195,8 @@ class WorkerSlotState:
 
     def due(self, now: float) -> np.ndarray:
         """Indices of slots whose deadline has expired at ``now``,
-        ordered by ``(deadline, arm_seq)`` -- the order packet mode's
-        per-slot timer events would fire in.
+        ordered by ``(deadline, arm_seq)`` -- the order the per-packet
+        path's per-slot timer events would fire in.
 
         For large pools the expired set is pulled to the front with
         ``argpartition`` (every expired deadline is ``<= now`` and every

@@ -537,10 +537,10 @@ class SwitchMLProgram:
     def handle_batch(self, packets: list[SwitchMLPacket]) -> list[SwitchDecision]:
         """Process one coalesced burst of update packets.
 
-        Burst-granularity entry point: the chassis hands over every
-        update that crossed the ingress pipeline in the same drain
-        window (in arrival order).  Three bodies sit behind this
-        interface, picked per call:
+        Window-path entry point: the chassis hands over every update
+        that crossed the ingress pipeline in the same drain window (in
+        arrival order).  :meth:`handle` is the reference; two wide
+        bodies sit behind this interface, picked per call:
 
         * the **vectorized NumPy body** (default): no per-frame Python
           loop beyond field extraction -- the batch is grouped by flat
@@ -556,11 +556,13 @@ class SwitchMLProgram:
           order-dependent classification loop runs in C over the raw
           ``uint8``/``int64`` register buffers (no messy fallback
           needed -- it is sequential and exact); Python applies the
-          payload/response plan it returns;
-        * the **grouped reference body**: per-group Python, used when
-          the event tracer or invariant checking is active (it emits
-          the per-event records the others skip for speed) and kept as
-          the behavioral reference for the equivalence suites.
+          payload/response plan it returns.
+
+        With the event tracer or invariant checking active the drain
+        replays :meth:`handle` packet by packet instead -- that is where
+        the per-event records and assertions live, which the wide bodies
+        skip for speed -- and one ``burst.switch`` aggregate record
+        describes the drain.
 
         Equivalence with per-packet execution holds because clean and
         messy packets touch disjoint *slots*: every register a packet
@@ -577,23 +579,24 @@ class SwitchMLProgram:
         serialization and RNG draw order -- matches per-packet
         execution exactly.
         """
-        if len(packets) == 1:
-            # singleton drain: the per-packet path is cheaper than any
-            # batch setup
-            d = self.handle(packets[0])
-            return [] if d.action is SwitchAction.DROP else [d]
-        if self._tracer.enabled or self.check_invariants:
-            return self._handle_batch_groups(packets)
-        if len(packets) < self.BATCH_MIN:
-            # small drains (epsilon=0 coalescing yields mostly 1-8 frame
-            # groups): the per-packet path beats any batch setup; handle()
-            # fences epochs and checks ranges itself
+        traced = self._tracer.enabled
+        if traced or self.check_invariants or len(packets) < self.BATCH_MIN:
+            # the spec loop (handle() fences epochs and checks ranges
+            # itself): for its records and assertions when asked for,
+            # and for small drains because it beats any batch setup
             out = []
             handle = self.handle
             for p in packets:
                 d = handle(p)
                 if d.action is not SwitchAction.DROP:
                     out.append(d)
+            if traced:
+                self._tracer.emit(
+                    "burst.switch", self._clock(), cat="burst", actor="switch",
+                    packets=len(packets),
+                    groups=len({(p.ver, p.idx) for p in packets}),
+                    emissions=len(out),
+                )
             return out
 
         # ---- field extraction + epoch fence (the one per-packet loop)
@@ -955,214 +958,6 @@ class SwitchMLProgram:
     def backend(self) -> str:
         """Active batch-body backend label (``"c"`` or ``"numpy"``)."""
         return backend_name(self._kernel)
-
-    # ------------------------------------------------------------------
-    def _handle_batch_groups(
-        self, packets: list[SwitchMLPacket]
-    ) -> list[SwitchDecision]:
-        """Grouped per-(version, slot) reference body.
-
-        Used when the event tracer or invariant checking is active --
-        both need per-event context the wide bodies skip -- and by the
-        equivalence suites as the behavioral reference.
-        """
-        s, n = self.s, self.n
-        seen_bits = self._seen_bits
-        counts = self._count_cells
-        pop = self._seen_pop
-        # bucket by flat (version, slot); dict insertion order preserves
-        # first-seen order, so iterating groups.items() replays it
-        groups: dict[int, list[tuple[int, SwitchMLPacket]]] = {}
-        epoch = self.epoch
-        off_cells = self._off_cells
-        suspect = False  # phase-offset screen, same rules as handle_batch's
-        g_first_off: dict[int, int] = {}
-        for pos, p in enumerate(packets):
-            if p.epoch != epoch:
-                # epoch fence, identical to handle()'s
-                self.stale_epoch_drops += 1
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "fence.drop", self._clock(), cat="fence", actor="switch",
-                        wid=p.wid, packet_epoch=p.epoch, pool_epoch=self.epoch,
-                    )
-                continue
-            idx, wid = p.idx, p.wid
-            if not 0 <= idx < s:
-                raise ValueError(f"pool index {idx} out of range [0, {s})")
-            if not 0 <= wid < n:
-                raise ValueError(f"worker id {wid} out of range [0, {n})")
-            vs = p.ver * s + idx
-            if not suspect:
-                stored = off_cells[vs]
-                if counts[vs] == 0 and seen_bits[vs * n + wid] == 0:
-                    if p.off <= stored or pop[vs] != 0:
-                        suspect = True
-                elif p.off != stored:
-                    suspect = True
-                if g_first_off.setdefault(vs, p.off) != p.off:
-                    suspect = True  # mixed offsets within one group
-            g = groups.get(vs)
-            if g is None:
-                groups[vs] = [(pos, p)]
-            else:
-                g.append((pos, p))
-
-        if suspect:
-            # a reordered stale retransmission (or poisoned-phase repair)
-            # is order-sensitive: replay the whole drain per-packet, in
-            # arrival order, through the full offset discipline
-            allp = [e for g in groups.values() for e in g]
-            allp.sort(key=lambda e: e[0])
-            out = []
-            for pos, p in allp:
-                d = self.handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append((pos, d))
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    "burst.switch", self._clock(), cat="burst", actor="switch",
-                    packets=len(packets), groups=len(groups), emissions=len(out),
-                )
-            return [d for _, d in out]
-
-        # slots with packets under BOTH pool versions in this batch:
-        # order between the versions is observable (an absorb clears
-        # the alternate version's seen bit), so those slots replay
-        # per-packet in global arrival order
-        vers_present = np.zeros(s, dtype=np.uint8)
-        for vs in groups:
-            vers_present[vs % s] |= 1 << (vs // s)
-
-        out: list[tuple[int, SwitchDecision]] = []
-        seq: list[tuple[int, SwitchMLPacket]] = []
-        for vs, g in groups.items():
-            if vers_present[vs % s] == 3:
-                seq.extend(g)
-                continue
-            m = len(g)
-            # fast path needs every contribution first-time from a
-            # distinct worker AND the counter not to pass n mid-group
-            # (cleared seen bits can admit more than n - count
-            # first-timers; the wrap-and-reopen is sequential-only)
-            fast = m > 1 and int(counts[vs]) + m <= n
-            if fast:
-                base = vs * n
-                wids = set()
-                for _, p in g:
-                    w = p.wid
-                    if seen_bits[base + w] or w in wids:
-                        fast = False
-                        break
-                    wids.add(w)
-            if not fast:
-                for pos, p in g:
-                    d = self.handle(p)
-                    if d.action is not SwitchAction.DROP:
-                        out.append((pos, d))
-                continue
-
-            # ---- vectorized group absorb ------------------------------
-            idx = vs % s
-            ovs = vs - s if vs >= s else vs + s  # alternate pool's copy
-            count_before = int(counts[vs])
-            if self.check_invariants and count_before == 0:
-                other_count = counts[ovs]
-                if other_count != 0:
-                    raise AssertionError(
-                        f"phase-lag invariant violated: slot {idx} ver "
-                        f"{vs // s} reused while ver {1 - vs // s} still "
-                        f"aggregating (count={other_count})"
-                    )
-            obase = ovs * n
-            seen_accesses = 3 * m
-            for _, p in g:
-                w = p.wid
-                seen_bits[base + w] = 1
-                ob = obase + w
-                if seen_bits[ob]:
-                    seen_bits[ob] = 0
-                    pop[ovs] -= 1
-                    seen_accesses += 1
-            pop[vs] += m
-            self._seen.accesses += seen_accesses
-            self._count.accesses += 2 * m
-            self.packets_processed += m
-            count = count_before + m  # distinct unseen workers: count <= n
-            wrap = count == n
-            counts[vs] = (0 if wrap else count) & 255
-            first_pos, first_p = g[0]
-            if count_before == 0:
-                off_cells[vs] = first_p.off  # the phase this opening claims
-                self.occupied_slots += 1
-                if self._tracer.enabled:
-                    now = self._clock()
-                    self._tracer.emit(
-                        "slot.claim", now, cat="slot", actor="switch",
-                        slot=idx, ver=vs // s, wid=first_p.wid, off=first_p.off,
-                    )
-                    self._tracer.counter(
-                        "slots_occupied", now, self.occupied_slots,
-                        cat="slot", actor="switch",
-                    )
-            lo = vs * self.k
-            hi = lo + self.k
-            if first_p.vector is not None:
-                # m >= 2 here; int64 adds, so the sum modulo 2**32
-                # equals the sequential 32-bit wraparound adds.  One
-                # allocation + in-place adds beats np.sum over a
-                # stacked 2-D array at these widths (k ~ 32).
-                total = first_p.vector + g[1][1].vector
-                for _, p in g[2:]:
-                    total += p.vector
-                if count_before == 0:
-                    self._pool.write_range(lo, hi, total)
-                else:
-                    self._pool.add_range(lo, hi, total)
-            if wrap:
-                if self.check_invariants and pop[vs] != n:
-                    raise AssertionError(
-                        f"seen popcount {pop[vs]} != {n} at completion of "
-                        f"slot {idx} ver {vs // s}"
-                    )
-                vector = None
-                if first_p.vector is not None:
-                    vector = self._pool.read_range(lo, hi)
-                self.multicasts += 1
-                self.occupied_slots -= 1
-                # the group's last packet is the one that completed the
-                # aggregation -- the multicast anchors to its position
-                last_pos, last_p = g[-1]
-                if self._tracer.enabled:
-                    now = self._clock()
-                    self._tracer.emit(
-                        "slot.release", now, cat="slot", actor="switch",
-                        slot=idx, ver=vs // s, off=last_p.off,
-                    )
-                    self._tracer.counter(
-                        "slots_occupied", now, self.occupied_slots,
-                        cat="slot", actor="switch",
-                    )
-                out.append((
-                    last_pos,
-                    SwitchDecision(SwitchAction.MULTICAST, last_p.result_copy(vector)),
-                ))
-
-        if seq:
-            seq.sort(key=lambda e: e[0])
-            for pos, p in seq:
-                d = self.handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append((pos, d))
-
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "burst.switch", self._clock(), cat="burst", actor="switch",
-                packets=len(packets), groups=len(groups), emissions=len(out),
-            )
-        if len(out) > 1:
-            out.sort(key=lambda e: e[0])
-        return [d for _, d in out]
 
     # ------------------------------------------------------------------
     @property

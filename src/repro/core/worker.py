@@ -96,6 +96,12 @@ class SwitchMLWorker:
         ``packet.rx`` events on its own trace lane and feeds the
         ``worker_*`` counters plus the RTT / retransmission-gap / TAT
         histograms.
+    burst_epsilon:
+        The job's coalescing window (``SwitchMLConfig.burst_epsilon``).
+        Zero runs the per-packet path: one ``host.send`` and one engine
+        timer per chunk.  A positive value runs the window path: chunk
+        groups leave as frame trains, results arrive as RX bursts, and
+        one singleton timer covers the pool's earliest deadline.
     """
 
     #: smallest RX group the vectorized batch body pays for itself on;
@@ -126,19 +132,12 @@ class SwitchMLWorker:
         obs: "Observability | None" = None,
         reuse_buffers: bool = False,
         job_id: int = 0,
-        granularity: str = "packet",
         burst_epsilon: float = 0.0,
-        train_egress: bool = False,
-        train_cap: int = 0,
     ):
         if timeout_mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown timeout mode {timeout_mode!r}")
-        if granularity not in ("packet", "burst"):
-            raise ValueError(f"unknown granularity {granularity!r}")
         if burst_epsilon < 0:
             raise ValueError("burst_epsilon must be non-negative")
-        if train_cap < 0:
-            raise ValueError("train_cap must be non-negative")
         self.sim = sim
         self._schedule_at = sim.schedule_at
         self.host = host
@@ -182,40 +181,22 @@ class SwitchMLWorker:
         self._srtt: float | None = None
         self._rttvar = 0.0
         self._rtt_peak = 0.0  # decaying peak: guards RTT ramp-ups
-        #: execution granularity: "packet" replays the event-per-packet
-        #: schedule; "burst" additionally books the per-slot deadlines
-        #: into the SoA core's deadline array (see _arm_deadline).  With
-        #: eps=0, timer *events* stay per-slot: coarsening them into one
-        #: wake-up changes how same-instant expiries interleave with
-        #: other workers' events (the engine breaks time ties by
-        #: scheduling order), which cascades through uplink send order
-        #: into switch arrival order under loss -- and eps=0 burst mode
-        #: promises bit-identical protocol outcomes.  With eps>0 the
-        #: schedule is already epsilon-perturbed, so the worker runs ONE
-        #: singleton engine timer at the earliest armed deadline;
-        #: expiries drain through WorkerSlotState.due() in (deadline,
-        #: arm_seq) order -- s timer events collapse to one.
-        self.granularity = granularity
-        self._burst = granularity == "burst"
-        #: frame-train egress: a window of same-destination chunk sends
-        #: leaves through one :meth:`Host.send_train` call (one engine
-        #: event) instead of one ``host.send`` per chunk.  Per-chunk
-        #: bookkeeping, stats, and timer arming are identical; in packet
-        #: mode the result is bit-for-bit the per-frame schedule (the
-        #: train replays every frame at its own submit time).
-        self._train = bool(train_egress)
-        #: longest train put on the wire in one piece; 0 = unlimited.
-        #: Splitting trades batching for pacing (each sub-train charges
-        #: the TX cores when *it* is built, same as this implementation's
-        #: single-callback semantics -- the cap only bounds list sizes).
-        self.train_cap = int(train_cap)
         self.burst_epsilon = float(burst_epsilon)
-        self._single_timer = self._burst and self.burst_epsilon > 0.0
+        #: the one execution-path test.  False: the per-packet path --
+        #: per-chunk sends, one engine timer per slot.  True: the window
+        #: path -- the schedule is already epsilon-perturbed, so chunk
+        #: groups leave through one :meth:`Host.send_train` call, per-slot
+        #: deadlines are booked into the SoA core's deadline array, and
+        #: ONE singleton engine timer sits at the earliest armed
+        #: deadline; expiries drain through ``WorkerSlotState.due()`` in
+        #: (deadline, arm_seq) order -- s timer events collapse to one.
+        self._coalesce = self.burst_epsilon > 0.0
         self._deadline_event: Event | None = None
         self._deadline_armed_at = _INF
-        # per-packet trace events fire in packet mode; burst mode emits
-        # per-burst aggregate records instead (on_frames/_fire_deadline)
-        self._trace_packets = not self._burst
+        # per-packet trace events fire on the per-packet path; the
+        # window path emits per-burst aggregate records instead
+        # (on_frames/_run_deadlines)
+        self._trace_packets = not self._coalesce
         #: the data-oriented core: pool-wide per-slot state as NumPy
         #: arrays (this class is the per-event adapter over it).  The
         #: ``_slot_*`` attributes below alias its arrays.
@@ -286,9 +267,9 @@ class SwitchMLWorker:
         self._slot_sent_at = self._st.sent_at
         self._slot_retransmitted = self._st.retransmitted
         self._slot_retries = self._st.retries
-        # burst mode mirrors "chunk in flight" into the SoA bool column
-        # so the batch RX body can mask whole-batch instead of touching
-        # the _slot_packet object column per frame
+        # the window path mirrors "chunk in flight" into the SoA bool
+        # column so the batch RX body can mask whole-batch instead of
+        # touching the _slot_packet object column per frame
         self._slot_outstanding = self._st.outstanding
         self._slot_packet: list[SwitchMLPacket | None] = []
         self._slot_timer: list[Event | None] = []
@@ -348,7 +329,7 @@ class SwitchMLWorker:
         self._m_flushed = (0, 0, 0, 0)
         self.stats = WorkerStats(start_time=self.sim.now)
 
-        if self._train and active_slots > 1:
+        if self._coalesce and active_slots > 1:
             self._send_chunks(
                 [(i, int(self._next_ver[i]), self.k * i) for i in range(active_slots)]
             )
@@ -420,7 +401,7 @@ class SwitchMLWorker:
         self._slot_ver[idx] = ver
         self._next_ver[idx] = 1 - ver  # the version the NEXT phase uses
         self._slot_packet[idx] = packet
-        if self._burst:
+        if self._coalesce:
             self._slot_outstanding[idx] = True
         self._slot_sent_at[idx] = self.sim.now
         self._slot_retransmitted[idx] = False
@@ -436,7 +417,7 @@ class SwitchMLWorker:
         self.host.send(frame)
         if not arm:
             return
-        if self._burst:
+        if self._coalesce:
             self._arm_deadline(idx)
         else:
             self._arm_timer(idx)
@@ -444,16 +425,13 @@ class SwitchMLWorker:
     def _send_chunks(
         self, items: list[tuple[int, int, int]], arm: bool = True
     ) -> None:
-        """Batched :meth:`_send_chunk` over a slot group (train egress).
+        """Batched :meth:`_send_chunk` over a slot group (window path).
 
         ``items`` is ``[(idx, ver, off), ...]`` in slot order.  Per-slot
         bookkeeping replicates :meth:`_send_chunk` exactly; the fresh
         frames are built in one :func:`to_frames` call and the whole
-        group leaves through :meth:`Host.send_train` (split by
-        ``train_cap``), after which the timers are armed in slot order
-        -- the same relative timer-event scheduling order the per-chunk
-        loop produces (TX events and timers never share a fire time:
-        I/O latency is microseconds, timeouts are 100 us and up).
+        group leaves through :meth:`Host.send_train`, after which the
+        deadlines are armed in slot order.
         """
         now = self.sim.now
         host = self.host
@@ -461,7 +439,6 @@ class SwitchMLWorker:
         phantom = self._phantom
         tensor = self._tensor
         k = self.k
-        burst = self._burst
         slot_buf = self._slot_buf
         slot_frame = self._slot_frame
         slot_off = self._slot_off
@@ -505,8 +482,7 @@ class SwitchMLWorker:
         slot_off[idx_a] = np.fromiter((it[2] for it in items), dtype=np.int64, count=n)
         slot_ver[idx_a] = ver_a
         next_ver[idx_a] = 1 - ver_a
-        if burst:
-            slot_outstanding[idx_a] = True
+        slot_outstanding[idx_a] = True
         slot_sent_at[idx_a] = now
         slot_retransmitted[idx_a] = False
         slot_retries[idx_a] = 0
@@ -528,29 +504,11 @@ class SwitchMLWorker:
             tick = self.trace.tick
             for _ in range(n):
                 tick("sent", now)
-        if self._trace_packets and self._tracer.enabled:
-            emit = self._tracer.emit
-            for idx, ver, off in items:
-                emit(
-                    "packet.tx", now, cat="packet", actor=self._actor,
-                    slot=idx, ver=ver, off=off,
-                )
-        cap = self.train_cap
-        if cap and n > cap:
-            for s0 in range(0, n, cap):
-                host.send_train(frames[s0 : s0 + cap])
-        else:
-            host.send_train(frames)
-        if not arm:
-            return
-        if burst:
+        host.send_train(frames)
+        if arm:
             arm_deadline = self._arm_deadline
             for idx, _ver, _off in items:
                 arm_deadline(idx)
-        else:
-            arm_timer = self._arm_timer
-            for idx, _ver, _off in items:
-                arm_timer(idx)
 
     def current_timeout(self) -> float:
         """The retransmission timeout in force right now.
@@ -601,22 +559,15 @@ class SwitchMLWorker:
         )
 
     def _arm_deadline(self, idx: int) -> None:
-        """Burst-mode timer arming: write the slot's expiry into the SoA
-        deadline array and arm an engine timer to cover it.
+        """Window-path timer arming: write the slot's expiry into the
+        SoA deadline array and make sure the singleton engine timer
+        covers it.
 
-        The timeout duration is computed exactly as in :meth:`_arm_timer`.
-        With ``burst_epsilon == 0`` an engine event is scheduled per
-        arming, exactly as in packet mode: the engine breaks time ties
-        by scheduling order, so giving burst-mode expiries the same
-        scheduling points keeps same-instant interleavings with every
-        other actor's events identical (the eps=0 bit-identical
-        promise).  With ``burst_epsilon > 0`` the schedule is already
-        epsilon-perturbed, so one *singleton* timer at the earliest
-        armed deadline covers the whole pool; :meth:`_run_deadlines`
-        drains expiries through ``WorkerSlotState.due()`` and re-arms.
-        Either way the SoA bookkeeping -- ``deadline`` mirrors every
-        armed expiry (``+inf`` = none) and ``arm_seq`` the arming order
-        -- makes pool-wide timer state one array scan.
+        The timeout duration is computed exactly as in
+        :meth:`_arm_timer`.  ``deadline`` mirrors every armed expiry
+        (``+inf`` = none) and ``arm_seq`` the arming order, so pool-wide
+        timer state is one array scan; :meth:`_run_deadlines` drains
+        expiries through ``WorkerSlotState.due()`` and re-arms.
         """
         st = self._st
         if self.timeout_mode == "fixed" or self._srtt is None:
@@ -630,14 +581,8 @@ class SwitchMLWorker:
         st.deadline[idx] = d
         st.arm_seq[idx] = self._arm_counter
         self._arm_counter += 1
-        if self._single_timer:
-            if d < self._deadline_armed_at:
-                self._rearm_singleton(d)
-            return
-        timer = self._slot_timer[idx]
-        if timer is not None:
-            timer.cancel()
-        self._slot_timer[idx] = self._schedule_at(d, self._fire_deadline, idx)
+        if d < self._deadline_armed_at:
+            self._rearm_singleton(d)
 
     def _rearm_singleton(self, d: float) -> None:
         ev = self._deadline_event
@@ -647,7 +592,7 @@ class SwitchMLWorker:
         self._deadline_event = self._schedule_at(d, self._run_deadlines)
 
     def _run_deadlines(self) -> None:
-        """Singleton-timer callback (eps-window burst mode): drain every
+        """Singleton-timer callback (window path): drain every
         expired deadline in ``(deadline, arm_seq)`` order -- the order
         per-slot timers would have fired in -- then re-arm at the next
         earliest deadline.  Spurious wake-ups (the covered deadline was
@@ -678,21 +623,6 @@ class SwitchMLWorker:
         if fired and self._tracer.enabled:
             self._tracer.emit(
                 "burst.timeout", now, cat="burst", actor=self._actor, fired=fired,
-            )
-
-    def _fire_deadline(self, idx: int) -> None:
-        """Burst mode's timer callback: consume the slot's deadline and
-        resend.  The deadline is cleared *before* the resend re-arms it,
-        and a per-burst aggregate trace record replaces packet mode's
-        per-packet ``packet.retx`` event."""
-        if not self._active:
-            return
-        self._st.deadline[idx] = _INF
-        self._on_timeout(idx)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "burst.timeout", self.sim.now, cat="burst",
-                actor=self._actor, fired=1, slot=idx,
             )
 
     def _cancel_timer(self, idx: int) -> None:
@@ -745,7 +675,7 @@ class SwitchMLWorker:
                 slot=resend.idx, ver=resend.ver, off=resend.off,
             )
         self.host.send(frame)
-        if self._burst:
+        if self._coalesce:
             self._arm_deadline(idx)
         else:
             self._arm_timer(idx)
@@ -841,7 +771,7 @@ class SwitchMLWorker:
             self._deadline_event.cancel()
             self._deadline_event = None
         self._deadline_armed_at = _INF
-        if self._burst:
+        if self._coalesce:
             self._st.clear_deadlines()
 
     # ------------------------------------------------------------------
@@ -956,7 +886,7 @@ class SwitchMLWorker:
         if total_packets == 0:
             self._finish()
             return
-        if self._train and active_slots > 1:
+        if self._coalesce and active_slots > 1:
             self._send_chunks(
                 [
                     (i, int(self._next_ver[i]), offset_elements + self.k * i)
@@ -983,8 +913,8 @@ class SwitchMLWorker:
         self._on_result(packet)
 
     def on_frames(self, frames: list[Frame]) -> None:
-        """Burst-granularity RX entry: one call per group of frames the
-        host dispatched in the same drain window, in arrival order.
+        """Window-path RX entry: one call per group of frames the host
+        dispatched in the same drain window, in arrival order.
 
         Large groups go through the vectorized batch body
         (:meth:`_on_results_batch`); small ones (and the cases the batch
@@ -1024,7 +954,7 @@ class SwitchMLWorker:
         Two cases fall back to the exact per-result loop:
 
         * **adaptive timeout mode** -- there the EWMA feeds each send's
-          RTO, and packet mode interleaves (sample i, send i, sample
+          RTO, and the per-result path interleaves (sample i, send i, sample
           i+1, ...); batching the samples ahead of the sends would skew
           the RTOs.  Fixed mode's RTO never reads the estimator, so
           batching is exact (per-slot backoff is reset before the
@@ -1086,18 +1016,8 @@ class SwitchMLWorker:
 
         si = idx_a[acc]
         now = self.sim.now
-        # timers: one masked store in singleton mode, per-slot cancels
-        # otherwise (eps=0 keeps per-slot events; lazy-cancel order is
-        # unobservable, so batching the cancels ahead of the sends is
-        # exact)
+        # timers: one masked store (the singleton timer re-arms lazily)
         st.deadline[si] = _INF
-        if not self._single_timer:
-            slot_timer = self._slot_timer
-            for i in si:
-                timer = slot_timer[i]
-                if timer is not None:
-                    timer.cancel()
-                    slot_timer[i] = None
         samples = now - st.sent_at[si]
         stats.results_received += n_acc
         stats.rtt_sum += float(samples.sum())
@@ -1152,51 +1072,35 @@ class SwitchMLWorker:
         if not send.any():
             return
         send_pos = np.nonzero(send)[0]
-        if self._single_timer:
-            # batch timer math: send the frames without arming, then
-            # compute every deadline in one vector op and re-arm the
-            # singleton once
-            if self._train and send_pos.size > 1:
-                self._send_chunks(
-                    [
-                        (int(si[j]), 1 - int(ver_a[acc[j]]), int(next_off[j]))
-                        for j in send_pos
-                    ],
-                    arm=False,
-                )
-            else:
-                for j in send_pos:
-                    self._send_chunk(
-                        idx=int(si[j]),
-                        ver=1 - int(ver_a[acc[j]]),
-                        off=int(next_off[j]),
-                        arm=False,
-                    )
-            sent_slots = si[send_pos]
-            dur = self.timeout_s * st.backoff[sent_slots]
-            np.minimum(dur, self.max_timeout_s, out=dur)
-            deadlines = now + dur
-            st.deadline[sent_slots] = deadlines
-            c = self._arm_counter
-            st.arm_seq[sent_slots] = np.arange(c, c + sent_slots.size)
-            self._arm_counter = c + int(sent_slots.size)
-            dmin = float(deadlines.min())
-            if dmin < self._deadline_armed_at:
-                self._rearm_singleton(dmin)
-        elif self._train and send_pos.size > 1:
+        # batch timer math: send the frames without arming, then compute
+        # every deadline in one vector op and re-arm the singleton once
+        if send_pos.size > 1:
             self._send_chunks(
                 [
                     (int(si[j]), 1 - int(ver_a[acc[j]]), int(next_off[j]))
                     for j in send_pos
-                ]
+                ],
+                arm=False,
             )
         else:
-            for j in send_pos:
-                self._send_chunk(
-                    idx=int(si[j]),
-                    ver=1 - int(ver_a[acc[j]]),
-                    off=int(next_off[j]),
-                )
+            j = send_pos[0]
+            self._send_chunk(
+                idx=int(si[j]),
+                ver=1 - int(ver_a[acc[j]]),
+                off=int(next_off[j]),
+                arm=False,
+            )
+        sent_slots = si[send_pos]
+        dur = self.timeout_s * st.backoff[sent_slots]
+        np.minimum(dur, self.max_timeout_s, out=dur)
+        deadlines = now + dur
+        st.deadline[sent_slots] = deadlines
+        c = self._arm_counter
+        st.arm_seq[sent_slots] = np.arange(c, c + sent_slots.size)
+        self._arm_counter = c + int(sent_slots.size)
+        dmin = float(deadlines.min())
+        if dmin < self._deadline_armed_at:
+            self._rearm_singleton(dmin)
 
     def _on_result(self, p: SwitchMLPacket) -> None:
         """The per-result hot path (one call per received result frame);
@@ -1227,7 +1131,7 @@ class SwitchMLWorker:
             stats.stale_results_ignored += 1
             return
 
-        if self._burst:
+        if self._coalesce:
             self._st.deadline[idx] = _INF
         timer = self._slot_timer[idx]
         if timer is not None:
@@ -1268,7 +1172,7 @@ class SwitchMLWorker:
             assert self._result is not None
             self._result[off : off + self.k] = p.vector
         self._slot_packet[idx] = None
-        if self._burst:
+        if self._coalesce:
             self._slot_outstanding[idx] = False
         self._remaining -= 1
 

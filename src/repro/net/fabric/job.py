@@ -72,14 +72,6 @@ class FabricConfig:
     link_down_after_s: float = 1e-3
     budget_fraction: float = 0.10
     obs: "Observability | None" = None
-    #: frame-train egress on the workers: each window of chunk sends
-    #: leaves the host as one train event instead of one event per frame
-    #: (the fabric's switches run the per-frame pipeline, so this batches
-    #: the TX side only).  Bit-identical schedule -- see
-    #: tests/integration/test_train_equivalence.py.
-    train_egress: bool = False
-    #: split worker trains longer than this many frames; 0 = unlimited
-    train_cap: int = 0
     seed: int = 0
 
     @property
@@ -177,8 +169,6 @@ class FabricJob:
                     member_id=gwid,
                     obs=self.obs,
                     switch_addr=leaf.switch.name,
-                    train_egress=cfg.train_egress,
-                    train_cap=cfg.train_cap,
                 )
                 host.attach_agent(worker)
                 self.workers.append(worker)

@@ -33,7 +33,7 @@ from repro.sim.resources import SerialResource
 
 __all__ = ["Host", "HostSpec", "HostAgent"]
 
-#: sort key for (submit_time, frame) pairs (stable: ties keep charge order)
+#: sort key for (time, frame) pairs (stable: ties keep their order)
 _submit_key = itemgetter(0)
 
 
@@ -104,14 +104,14 @@ class Host:
         self._agent_on_frames: Callable[[list[Frame]], Any] | None = None
         self.frames_received = 0
         self.frames_sent = 0
-        # burst-granularity RX: frames whose dispatch time coincides
-        # buffered for one agent callback (open run + its timestamp)
+        # the open RX window: its (dispatch_time, frame) group and
+        # opener time (see deliver_burst_many)
         self._rx_group: list | None = None
         self._rx_t = -1.0
-        #: epsilon-window coalescing (burst mode only, set by the job):
-        #: dispatches within ``[t0, t0 + eps]`` of the group opener join
-        #: one agent callback at ``t0 + eps``; zero keeps exact
-        #: same-timestamp coalescing (bit-identical to packet mode)
+        #: epsilon-window coalescing (set by the job from
+        #: ``SwitchMLConfig.burst_epsilon``): dispatches within
+        #: ``[t0, t0 + eps]`` of a window's opener share one agent
+        #: callback at ``t0 + eps``
         self.burst_epsilon = 0.0
         #: optional hook (frame, "rx"|"tx", time) for tracing
         self.observer: Callable[[Frame, str, float], Any] | None = None
@@ -213,74 +213,24 @@ class Host:
         return self.cores[flow_key % len(self.cores)]
 
     # ------------------------------------------------------------------
-    # Burst-granularity receive path
+    # Window-coalesced receive path (burst_epsilon > 0)
     # ------------------------------------------------------------------
-    def deliver_burst(self, frame: Frame) -> None:
-        """Burst-mode downlink terminus: identical core accounting to
-        :meth:`deliver`, but frames whose dispatch times coincide are
-        buffered under that timestamp and handed to the agent in one
-        ``on_frames`` call (DPDK's RX burst).  Wired instead of
-        :meth:`deliver` by the job when ``granularity="burst"``; the
-        packet-mode path carries no extra branch.
-        """
-        core = self.cores[frame.flow_key % self._ncores]
-        uplink = self.uplink
-        cache = self._lat_cache
-        if uplink is not None and cache[0] is self._spec and cache[1] is uplink._spec:
-            latency = cache[2].get(frame.wire_bytes)
-            if latency is None:
-                latency = self._io_latency(frame)
-        else:
-            latency = self._io_latency(frame)
-        sim = self.sim
-        now = sim.now
-        busy = core.busy_until
-        cost = self._rx_cost
-        finish = (busy if busy > now else now) + cost
-        core.busy_until = finish
-        core.jobs_served += 1
-        core.busy_time += cost
-        # run detection (see Link.send's burst branch): coinciding
-        # dispatch times extend the open group; a nonzero per-frame RX
-        # cost spaces same-core frames apart, so ties only form across
-        # cores or with a zero-cost spec -- missing one costs an event,
-        # not correctness
-        t = finish + latency
-        eps = self.burst_epsilon
-        if eps > 0.0:
-            # epsilon window: dispatches in [t0, t0 + eps] of the open
-            # group join its drain (scheduled at t0 + eps); the drain
-            # clears the group ref so late frames open a fresh window
-            group = self._rx_group
-            t0 = self._rx_t
-            if group is not None and t0 <= t <= t0 + eps:
-                group.append((t, frame))
-            else:
-                self._rx_group = group = [(t, frame)]
-                self._rx_t = t
-                self._schedule_call_at(t + eps, self._dispatch_window, group)
-            return
-        group = self._rx_group
-        if group is not None and t == self._rx_t:
-            group.append(frame)
-        else:
-            self._rx_group = group = [frame]
-            self._rx_t = t
-            self._schedule_call_at(t, self._dispatch_burst, group)
+    def _dispatch_window(self, pairs: list[tuple[float, Frame]]) -> None:
+        """Hand one window's frames to the agent at ``t0 + eps`` (DPDK's
+        RX burst), in dispatch order -- the stable sort keeps arrival
+        order for ties.
 
-    def _dispatch_burst(self, frames: list[Frame]) -> None:
-        """Hand one coinciding-dispatch group to the agent.
-
-        Per-frame bookkeeping (counters, observer) matches
-        :meth:`_dispatch`; agents without ``on_frames`` get the frames
-        one at a time in the same order packet mode would deliver them
-        (identical dispatch time, FIFO by arrival).
+        Per-frame bookkeeping (counters, observer, telemetry drain)
+        matches :meth:`_dispatch`; agents without ``on_frames`` get the
+        frames one at a time, in order.
         """
         agent = self.agent
         if agent is None:
             raise RuntimeError(f"host {self.name} received a frame but has no agent")
-        if frames is self._rx_group:
+        if pairs is self._rx_group:
             self._rx_group = None
+        pairs.sort(key=_submit_key)
+        frames = [frame for _, frame in pairs]
         self.frames_received += len(frames)
         observer = self.observer
         if observer is not None:
@@ -302,23 +252,15 @@ class Host:
             for frame in frames:
                 on_frame(frame)
 
-    def _dispatch_window(self, pairs: list[tuple[float, Frame]]) -> None:
-        """Hand one epsilon-window group to the agent at ``t0 + eps``,
-        in dispatch order (stable sort keeps arrival order for ties)."""
-        if pairs is self._rx_group:
-            self._rx_group = None
-        pairs.sort(key=lambda p: p[0])
-        self._dispatch_burst([frame for _, frame in pairs])
-
     def deliver_burst_many(self, frames: list[Frame]) -> None:
-        """Batched :meth:`deliver_burst`: one call per link drain group.
+        """Downlink terminus of the window path: one call per link drain.
 
-        Wired as the downlink's ``deliver_many`` callback.  Behaviorally
-        identical to calling :meth:`deliver_burst` once per frame in
-        order -- no event fires between the iterations, so the core
-        accounting, RX-group membership, and scheduled drains come out
-        the same; the loop just hoists the per-frame attribute lookups
-        and the callback invocation itself.
+        Wired as the downlink's ``deliver_many`` callback when
+        ``burst_epsilon > 0``.  Core accounting is :meth:`deliver`'s,
+        frame by frame in order; instead of one dispatch event per
+        frame, dispatch times within ``[t0, t0 + eps]`` of the open
+        window's opener join its drain (scheduled at ``t0 + eps``).  The
+        drain clears the group ref, so late frames open a fresh window.
         """
         cores = self.cores
         ncores = self._ncores
@@ -352,24 +294,14 @@ class Host:
             core.jobs_served += 1
             core.busy_time += cost
             t = finish + latency
-            if eps > 0.0:
-                if group is not None and t0 <= t <= t0 + eps:
-                    group.append((t, frame))
-                else:
-                    group = [(t, frame)]
-                    t0 = t
-                    self._rx_group = group
-                    self._rx_t = t0
-                    schedule(t + eps, self._dispatch_window, group)
-                continue
-            if group is not None and t == t0:
-                group.append(frame)
+            if group is not None and t0 <= t <= t0 + eps:
+                group.append((t, frame))
             else:
-                group = [frame]
+                group = [(t, frame)]
                 t0 = t
                 self._rx_group = group
                 self._rx_t = t0
-                schedule(t, self._dispatch_burst, group)
+                schedule(t + eps, self._dispatch_window, group)
 
     # ------------------------------------------------------------------
     # Send path
@@ -408,24 +340,18 @@ class Host:
 
     def send_train(self, frames: list[Frame]) -> None:
         """Charge TX cores for a batch and put it on the uplink as one
-        frame train: one cursor entry replaces one event per frame.
+        frame train: one link call replaces one event per frame.
 
         The core accounting is identical to ``len(frames)`` back-to-back
         :meth:`send` calls from the same callback (those all charge at
         the same ``sim.now``); each frame's link submit time
         (``finish + latency``) rides inside the train, and
-        :meth:`~repro.net.link.Link.send_train` replays every frame at
-        its own submit time.  Submit times can run backwards across
-        cores (a busy core finishes later than an idle one charged
-        after it); the stable sort restores the ``(time, seq)`` order
-        the per-frame TX events would have fired in.
-
-        The link call happens *inside this event*, not at the first
-        submit time: the per-frame path schedules all its TX entries
-        right here, so their tie-breaking sequence numbers date from
-        this event -- and the train's dispatch cursor must be created
-        now to inherit exactly that position (see
-        :meth:`~repro.sim.engine.Simulator.schedule_train`).
+        :meth:`~repro.net.link.Link.send_train` runs every frame's send
+        body against its own submit time.  Submit times can run
+        backwards across cores (a busy core finishes later than an idle
+        one charged after it); the stable sort restores the
+        ``(time, seq)`` order the per-frame TX events would have fired
+        in.
         """
         n = len(frames)
         if n == 0:

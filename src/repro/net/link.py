@@ -136,23 +136,20 @@ class Link:
         self._busy_until = 0.0
         self._rng = sim.rng(f"link:{name}")
         self._schedule_call_at = sim.schedule_call_at
-        self._schedule_train = sim.schedule_train
         # local block buffer of uniforms feeding ALL of this link's own
         # draws -- loss, corruption, jitter -- in per-frame order (see
         # _refresh_drop_path); survives spec swaps, reset on loss swaps
         self._u_buf = None
         self._u_i = 0
-        #: burst granularity: coalesce same-timestamp arrivals into one
-        #: engine event (set by the job when ``granularity="burst"``)
-        self.burst = False
-        #: epsilon-window coalescing (burst mode only): arrivals within
-        #: ``[t0, t0 + eps]`` of the group opener join its drain event,
-        #: scheduled at ``t0 + eps``.  Zero keeps exact same-timestamp
-        #: coalescing (bit-identical to packet mode); positive values
-        #: trade bounded extra latency for larger batches.
+        #: epsilon-window coalescing (set by the job from
+        #: ``SwitchMLConfig.burst_epsilon``): zero runs the per-frame
+        #: path -- one arrival event per frame; a positive value folds
+        #: arrivals within ``[t0, t0 + eps]`` of a window's opener into
+        #: one drain event at ``t0 + eps``, trading bounded extra latency
+        #: for larger batches downstream.
         self.burst_epsilon = 0.0
-        # current coalescing run: the open arrival group and its
-        # timestamp (see the burst branch of `send` for the scheme)
+        # the open window: its (arrival, frame) group and opener time
+        # (see _fold_window)
         self._arrive_group: list | None = None
         self._arrive_t = -1.0
         # `spec` and `loss` are properties: fault injection and topology
@@ -238,10 +235,10 @@ class Link:
     ) -> None:
         """Set the receiver callback.
 
-        ``deliver_many``, when given, takes a whole coinciding-arrival
-        group in one call; it must be behaviorally identical to calling
-        ``deliver`` once per frame in order (the burst drains use it to
-        skip the per-frame callback overhead).
+        ``deliver_many``, when given, takes a whole window drain in one
+        call; it must be behaviorally identical to calling ``deliver``
+        once per frame in order (the drains use it to skip the per-frame
+        callback overhead).
         """
         self._deliver = deliver
         self._deliver_many = deliver_many
@@ -356,43 +353,8 @@ class Link:
             # its in-band records) never reach anything that could drain
             # them, matching real INT
             tap.on_transmit(frame, now, wire_bytes, done, arrival)
-        if self.burst:
-            eps = self.burst_epsilon
-            if eps > 0.0:
-                # epsilon-window coalescing: the group opener's arrival
-                # t0 schedules the drain at t0 + eps; frames landing in
-                # [t0, t0 + eps] while the group is still open join it.
-                # The drain clears the group ref, so a frame arriving
-                # after the drain fired opens a fresh window even if its
-                # timestamp is inside the old one.  Jittered arrivals
-                # can run backwards; those open a fresh group too.
-                group = self._arrive_group
-                t0 = self._arrive_t
-                if group is not None and t0 <= arrival <= t0 + eps:
-                    group.append((arrival, frame))
-                else:
-                    self._arrive_group = group = [(arrival, frame)]
-                    self._arrive_t = arrival
-                    self._schedule_call_at(
-                        arrival + eps, self._drain_window, group
-                    )
-                return True
-            # Coalesce coinciding arrivals into one engine event, FIFO by
-            # send order.  Run detection, not a timestamp map: a frame
-            # extends the open group when its arrival matches, otherwise
-            # it opens a new group (the drain event captures the list, so
-            # no lookup on the way out).  Best-effort by design -- a
-            # serializing link spaces arrivals by at least one frame
-            # time, so same-link ties only occur with zero serialization
-            # or jitter collisions, and a missed tie merely costs one
-            # extra event, never correctness.
-            group = self._arrive_group
-            if group is not None and arrival == self._arrive_t:
-                group.append(frame)
-            else:
-                self._arrive_group = group = [frame]
-                self._arrive_t = arrival
-                self._schedule_call_at(arrival, self._arrive_burst, group)
+        if self.burst_epsilon > 0.0:
+            self._fold_window(((arrival, frame),))
             return True
         # arrivals are never cancelled: handle-free fast path
         self._schedule_call_at(arrival, self._arrive, frame)
@@ -403,193 +365,74 @@ class Link:
         """Process an ordered train of submits in one call.
 
         ``pairs`` is ``[(submit_time, frame), ...]`` with non-decreasing
-        submit times at or after ``sim.now``.  Each frame's *send body*
-        -- queue/backlog test, busy-chain serialization, stats, observer
-        and telemetry taps, and the loss/corruption/jitter draws in
-        per-frame stream order -- runs now, in one Python frame instead
-        of one engine event per frame (the math uses each pair's submit
-        time, never ``sim.now``, so running early is invisible).  The
-        *dispatch* of each surviving frame (scheduling its arrival, or
-        folding it into a burst coalescing group) is deferred to the
-        frame's own submit time via one :meth:`~repro.sim.engine.
-        Simulator.schedule_train` cursor.  The cursor is created in this
-        very call -- the caller's event is where the per-frame path would
-        have scheduled its TX entries -- and keeps that sequence number
-        across re-insertions, so every entry it later creates lands at
-        exactly the time, and with exactly the tie-breaking order, the
-        per-frame path would have produced.  Frames submitting at
-        ``sim.now`` itself (the chassis egress fan-out case) dispatch
-        inline.
+        submit times at or after ``sim.now``.  Each frame's send body
+        (:meth:`send_bodies`) runs now, in one Python frame instead of
+        one engine event per frame -- the math uses each pair's submit
+        time, never ``sim.now``, so running early is invisible to it --
+        and the survivors fold into the epsilon window right away: the
+        fold keys on each frame's *arrival* only, so no per-frame
+        dispatch event is needed at all.
 
-        Interleaving: the busy chain is replayed in submit order within
-        the train, so a per-frame :meth:`send` submitting inside the
-        train's span observes the whole train's backlog (and draws after
-        the whole train), not the prefix in flight at its submit time --
-        as if the NIC had enqueued the burst's TX descriptors in one
-        shot, which is what DPDK's TX burst does.  At epsilon = 0 the
-        wired call sites never overlap a train (timeout resends live on
-        a far coarser grid than the TX sweep), so the bit-for-bit
-        equivalence with the per-frame path holds; positive epsilon
-        widens trains until resends can land inside a span, and there
-        the two paths model the wire differently (both validly).
+        Two observable differences from ``len(pairs)`` scalar
+        :meth:`send` calls at the submit times, both inside what a
+        positive epsilon already allows (protocol-equivalent, not
+        schedule-identical):
+
+        * a window stays joinable until its drain *fires*, so a frame
+          whose submit falls after the drain instant joins early here
+          where the scalar path would open a fresh window;
+        * the busy chain is replayed in submit order within the train,
+          so a scalar :meth:`send` submitting inside the train's span
+          observes the whole train's backlog (and draws after the whole
+          train), not the prefix in flight at its submit time -- as if
+          the NIC had enqueued the burst's TX descriptors in one shot,
+          which is what DPDK's TX burst does.
 
         Returns the number of frames accepted (= ``len(pairs)`` minus
         queue tail-drops, mirroring :meth:`send`'s return value).
         """
-        if self.burst and self.burst_epsilon > 0.0:
-            # epsilon-window fast path: the window logic keys on each
-            # frame's *arrival* value only, so the appends can run here
-            # instead of at the submit times -- no cursor, no dispatch
-            # events at all.  The one observable difference from the
-            # per-frame schedule: a group stays joinable until its drain
-            # *fires*, so a frame whose submit falls after the drain
-            # instant joins early here where the per-frame path would
-            # open a fresh window.  Positive epsilon is already
-            # protocol-equivalent-not-bit-exact (see the interleaving
-            # note above); epsilon = 0 keeps the exact deferred dispatch
-            # below.
-            if (
-                self._queue_bytes is None
-                and self.observer is None
-                and self.telemetry is None
-                and self._corrupt_p == 0.0
-                and self._jitter_s == 0.0
-                and (self._bern is not None or self._lossless)
-            ):
-                self._send_train_window_fused(pairs)
-                return len(pairs)
-            records, accepted = self.send_bodies(pairs)
-            self.dispatch_window_records(records)
-            return accepted
         records, accepted = self.send_bodies(pairs)
-        dispatch = [r for r in records if r is not None]
-        n = len(dispatch)
-        if n:
-            dispatch_one = self._dispatch_one
-            # the leading run submitting at this very instant dispatches
-            # inline -- this event occupies the sequence position the
-            # per-frame path's first submit event would have
-            now = self.sim.now
-            i = 0
-            while i < n and dispatch[i][0] == now:
-                dispatch_one(dispatch[i])
-                i += 1
-            if i < n:
-                self._schedule_train(
-                    [d[0] for d in dispatch[i:]], dispatch_one, dispatch[i:]
-                )
+        self._fold_window(records)
         return accepted
 
-    def dispatch_window_records(
-        self, records: list[tuple[float, float, Frame] | None]
-    ) -> None:
-        """Fold a body sweep's surviving records into the epsilon window.
+    def _fold_window(self, records) -> None:
+        """Fold ``(arrival, frame)`` records into the epsilon window.
 
-        Only valid on a burst link with a positive ``burst_epsilon`` --
-        the batched form of :meth:`_dispatch_one`'s window branch, with
-        the group state hoisted out of the per-frame loop.  Used by the
-        :meth:`send_train` fast path and the chassis egress fan-out
-        (which at positive epsilon needs no cross-link delivery-order
-        interleaving: appends to different links' windows commute, and
-        entries are only created when a window opens, at arrival-derived
-        times).
+        A window opener's arrival ``t0`` schedules the drain at
+        ``t0 + eps``; records landing in ``[t0, t0 + eps]`` while the
+        window is still open join it.  The drain clears the group ref,
+        so a frame arriving after the drain fired opens a fresh window
+        even if its timestamp is inside the old one.  Jittered arrivals
+        can run backwards; those open a fresh window too.
         """
         eps = self.burst_epsilon
         group = self._arrive_group
         t0 = self._arrive_t
-        schedule = self._schedule_call_at
-        drain = self._drain_window
         for rec in records:
-            if rec is None:
-                continue
-            arrival = rec[1]
+            arrival = rec[0]
             if group is not None and t0 <= arrival <= t0 + eps:
-                group.append((arrival, rec[2]))
+                group.append(rec)
             else:
-                group = [(arrival, rec[2])]
+                group = [rec]
                 t0 = arrival
                 self._arrive_group = group
                 self._arrive_t = t0
-                schedule(t0 + eps, drain, group)
-
-    def _send_train_window_fused(self, pairs: list[tuple[float, Frame]]) -> None:
-        """Fused clean-link body sweep + epsilon-window fold.
-
-        One pass over ``pairs`` doing what :meth:`send_bodies` followed
-        by :meth:`dispatch_window_records` would do, without building
-        the intermediate record list -- valid only for the
-        configuration the caller checked (burst with a positive window,
-        no queue cap, no corruption, no jitter, no observer/telemetry,
-        Bernoulli-or-no loss).  Interleaving each frame's window fold
-        with its send body is unobservable: the body phase touches only
-        the RNG stream and link counters, the fold only the group state,
-        and no event can fire inside this call.
-        """
-        stats = self.stats
-        rng = self._rng
-        rate = self._rate_bps
-        prop = self._prop_s
-        bern = self._bern
-        p = bern.probability if bern is not None else 0.0
-        busy = self._busy_until
-        busy_time = stats.busy_time
-        u_i = self._u_i
-        u_buf = self._u_buf
-        lost = 0
-        bytes_sent = 0
-        eps = self.burst_epsilon
-        group = self._arrive_group
-        t0 = self._arrive_t
-        schedule = self._schedule_call_at
-        drain = self._drain_window
-        for t, frame in pairs:
-            wire_bytes = frame.wire_bytes
-            serialization = wire_bytes * 8.0 / rate
-            done = (busy if busy > t else t) + serialization
-            busy = done
-            bytes_sent += wire_bytes
-            busy_time += serialization
-            if p != 0.0:
-                if u_buf is None or u_i >= _BERN_BLOCK:
-                    u_buf = rng.random(_BERN_BLOCK).tolist()
-                    u_i = 0
-                u = u_buf[u_i]
-                u_i += 1
-                if u < p:
-                    lost += 1
-                    continue
-            arrival = done + prop
-            if group is not None and t0 <= arrival <= t0 + eps:
-                group.append((arrival, frame))
-            else:
-                group = [(arrival, frame)]
-                t0 = arrival
-                self._arrive_group = group
-                self._arrive_t = t0
-                schedule(t0 + eps, drain, group)
-        self._busy_until = busy
-        self._u_i = u_i
-        self._u_buf = u_buf
-        stats.busy_time = busy_time
-        stats.frames_sent += len(pairs)
-        stats.frames_lost += lost
-        stats.bytes_sent += bytes_sent
+                self._schedule_call_at(t0 + eps, self._drain_window, group)
 
     def send_bodies(
         self, pairs: list[tuple[float, Frame]]
-    ) -> tuple[list[tuple[float, float, Frame] | None], int]:
-        """Run the send bodies of a train; leave the dispatch to the caller.
+    ) -> tuple[list[tuple[float, Frame]], int]:
+        """Run the send bodies of a train; leave the fold to the caller.
 
-        The body phase of :meth:`send_train`, split out for callers that
-        fan one drain out over *several* links (the chassis egress): they
-        batch the bodies per link but must create each frame's engine
-        entry in the original cross-link delivery order -- the order the
-        per-frame loop would have -- so they interleave the returned
-        records themselves through :meth:`_dispatch_one`.
+        A frame's *send body* is everything :meth:`send` does short of
+        creating engine entries: queue/backlog test, busy-chain
+        serialization, stats, observer and telemetry taps, and the
+        loss/corruption/jitter draws in per-frame stream order -- all
+        computed from the pair's submit time.
 
-        Returns ``(records, accepted)``: ``records`` is aligned with
-        ``pairs`` (``None`` where the frame was tail-dropped or lost),
-        and ``accepted`` is ``len(pairs)`` minus queue tail-drops.
+        Returns ``(records, accepted)``: one ``(arrival, frame)`` record
+        per surviving frame, in submit order, and ``len(pairs)`` minus
+        queue tail-drops.
         """
         if self._deliver is None:
             raise RuntimeError(f"link {self.name} has no receiver connected")
@@ -617,6 +460,7 @@ class Link:
         # while the bodies run
         u_i = self._u_i
         u_buf = self._u_buf
+        records: list[tuple[float, Frame]] = []
 
         if (
             queue_bytes is None
@@ -625,24 +469,24 @@ class Link:
             and corrupt_p == 0.0
             and jit == 0.0
             and (bern is not None or lossless)
-            and len(pairs) >= 64
         ):
+            # the clean-link common case -- no queue cap, no corruption,
+            # no jitter, no per-frame observer/tap: the body reduces to
+            # the busy chain plus one Bernoulli draw
+            n = len(pairs)
+            p_loss = bern.probability if bern is not None else 0.0
             # below ~64 frames the ctypes marshalling (ndpointer checks,
             # fromiter, scratch arrays) costs more than the loop it
             # replaces; steady-state windows here are ~25 frames, so the
             # kernel effectively serves the pool-sized opening trains
-            kernel = _link_kernel()
+            kernel = _link_kernel() if n >= 64 else None
             if kernel is not None:
                 # compiled body sweep: same float ops in the same order
-                # as the loop below (see repro.core.backend), covering
-                # the clean-link common case -- no queue cap, no
-                # corruption, no jitter, no per-frame observer/tap
-                n = len(pairs)
+                # as the loop below (see repro.core.backend)
                 t_arr = np.fromiter((p[0] for p in pairs), dtype=np.float64, count=n)
                 wb_arr = np.fromiter(
                     (p[1].wire_bytes for p in pairs), dtype=np.int64, count=n
                 )
-                p_loss = bern.probability if bern is not None else 0.0
                 arrival = np.empty(n, dtype=np.float64)
                 ok = np.empty(n, dtype=np.int8)
                 fstate = np.array([busy, stats.busy_time], dtype=np.float64)
@@ -681,16 +525,40 @@ class Link:
                     self._u_i = int(istate[0])
                     self._u_buf = u_np.tolist()
                 records = [
-                    (pair[0], a, pair[1]) if okj else None
+                    (a, pair[1])
                     for pair, a, okj in zip(pairs, arrival.tolist(), ok.tolist())
+                    if okj
                 ]
-                delivered = int(np.count_nonzero(ok))
                 stats.frames_sent += n
-                stats.frames_lost += n - delivered
+                stats.frames_lost += n - len(records)
                 stats.bytes_sent += int(wb_arr.sum())
                 return records, n
 
-        records: list[tuple[float, float, Frame] | None] = []
+            busy_time = stats.busy_time
+            for t, frame in pairs:
+                wire_bytes = frame.wire_bytes
+                serialization = wire_bytes * 8.0 / rate
+                done = (busy if busy > t else t) + serialization
+                busy = done
+                bytes_sent += wire_bytes
+                busy_time += serialization
+                if p_loss != 0.0:
+                    if u_buf is None or u_i >= _BERN_BLOCK:
+                        u_buf = rng.random(_BERN_BLOCK).tolist()
+                        u_i = 0
+                    u = u_buf[u_i]
+                    u_i += 1
+                    if u < p_loss:
+                        continue
+                records.append((done + prop, frame))
+            self._busy_until = busy
+            self._u_i = u_i
+            self._u_buf = u_buf
+            stats.busy_time = busy_time
+            stats.frames_sent += n
+            stats.frames_lost += n - len(records)
+            stats.bytes_sent += bytes_sent
+            return records, n
 
         for t, frame in pairs:
             wire_bytes = frame.wire_bytes
@@ -699,7 +567,6 @@ class Link:
                 if backlog_s > 0.0:
                     if backlog_s * rate / 8.0 + wire_bytes > queue_bytes:
                         qdrops += 1
-                        records.append(None)
                         if observer is not None:
                             observer(frame, "queue_dropped", t)
                         if tap is not None:
@@ -707,7 +574,6 @@ class Link:
                         continue
                 elif wire_bytes > queue_bytes:
                     qdrops += 1
-                    records.append(None)
                     if observer is not None:
                         observer(frame, "queue_dropped", t)
                     if tap is not None:
@@ -736,7 +602,6 @@ class Link:
                     u_i += 1
                     if u < p:
                         lost += 1
-                        records.append(None)
                         if observer is not None:
                             observer(frame, "lost", t)
                         if tap is not None:
@@ -744,7 +609,6 @@ class Link:
                         continue
             elif not lossless and should_drop(rng, frame, t):
                 lost += 1
-                records.append(None)
                 if observer is not None:
                     observer(frame, "lost", t)
                 if tap is not None:
@@ -778,7 +642,7 @@ class Link:
             if tap is not None:
                 tap.on_transmit(frame, t, wire_bytes, done, arrival)
 
-            records.append((t, arrival, frame))
+            records.append((arrival, frame))
 
         self._busy_until = busy
         self._u_i = u_i
@@ -789,69 +653,11 @@ class Link:
         stats.bytes_sent += bytes_sent
         return records, len(pairs) - qdrops
 
-    def _dispatch_one(self, rec: tuple[float, float, Frame]) -> None:
-        """Dispatch one train frame at its submit time.
-
-        Replicates the tail of :meth:`send` -- the part that creates
-        engine entries or mutates coalescing groups -- for a frame whose
-        send body already ran in :meth:`send_train`.  Running at the
-        frame's own submit time keeps group open/closed state and entry
-        insertion order identical to the per-frame path.
-        """
-        arrival = rec[1]
-        frame = rec[2]
-        if self.burst:
-            eps = self.burst_epsilon
-            if eps > 0.0:
-                group = self._arrive_group
-                t0 = self._arrive_t
-                if group is not None and t0 <= arrival <= t0 + eps:
-                    group.append((arrival, frame))
-                else:
-                    self._arrive_group = group = [(arrival, frame)]
-                    self._arrive_t = arrival
-                    self._schedule_call_at(arrival + eps, self._drain_window, group)
-                return
-            group = self._arrive_group
-            if group is not None and arrival == self._arrive_t:
-                group.append(frame)
-            else:
-                self._arrive_group = group = [frame]
-                self._arrive_t = arrival
-                self._schedule_call_at(arrival, self._arrive_burst, group)
-            return
-        self._schedule_call_at(arrival, self._arrive, frame)
-
     def _arrive(self, frame: Frame) -> None:
         self.stats.frames_delivered += 1
         if self.observer is not None:
             self.observer(frame, "delivered", self.sim.now)
         self._deliver(frame)
-
-    def _arrive_burst(self, frames: list[Frame]) -> None:
-        """Deliver one coinciding-arrival group (burst granularity).
-
-        Per-frame stats and observer calls match :meth:`_arrive`; the
-        receiver sees the frames one at a time in send order, at the
-        same ``sim.now`` -- downstream burst endpoints re-group them
-        under that timestamp anyway.
-        """
-        if frames is self._arrive_group:
-            self._arrive_group = None
-        stats = self.stats
-        stats.frames_delivered += len(frames)
-        observer = self.observer
-        if observer is not None:
-            t = self.sim.now
-            for frame in frames:
-                observer(frame, "delivered", t)
-        deliver_many = self._deliver_many
-        if deliver_many is not None:
-            deliver_many(frames)
-            return
-        deliver = self._deliver
-        for frame in frames:
-            deliver(frame)
 
     def _drain_window(self, pairs: list[tuple[float, Frame]]) -> None:
         """Deliver one epsilon-window group at ``t0 + eps``.

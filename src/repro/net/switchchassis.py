@@ -102,27 +102,17 @@ class SwitchChassis:
         self.frames_in = 0
         self.frames_out = 0
         self.frames_dropped = 0
-        # burst-granularity ingress: frames arriving at the same instant
-        # buffered for one pipeline drain (open run + its timestamp);
-        # engine time is monotone, so run detection groups ties exactly
+        # the open ingress window: its (frame, in_port) group and opener
+        # time (see burst_ingress_many_callback)
         self._in_group: list[tuple[Frame, int]] | None = None
         self._in_t = -1.0
-        #: epsilon-window coalescing (burst mode only, set by the job):
-        #: arrivals within ``[t0, t0 + eps]`` of the group opener share
-        #: one pipeline drain at ``t0 + eps + pipeline_latency_s``; zero
-        #: keeps exact same-instant grouping (bit-identical to packet
-        #: mode).  Engine time is monotone at ingress, so within-group
-        #: arrival order needs no sort either way.
+        #: epsilon-window coalescing (set by the job from
+        #: ``SwitchMLConfig.burst_epsilon``): arrivals within
+        #: ``[t0, t0 + eps]`` of a window's opener -- across *all* ports
+        #: -- share one pipeline drain at ``t0 + eps +
+        #: pipeline_latency_s``.  Engine time is monotone at ingress, so
+        #: within-window arrival order needs no sort.
         self.burst_epsilon = 0.0
-        #: frame-train egress (set by the job alongside burst wiring):
-        #: a burst drain's deliveries are grouped per egress port and
-        #: leave through one :meth:`Link.send_train` call per port --
-        #: every frame submits at the drain's ``sim.now``, exactly when
-        #: the per-frame loop would have called ``send``, so per-link
-        #: frame order, busy chains, and RNG draw order are unchanged
-        self.train_egress = False
-        #: longest per-port train sent in one piece; 0 = unlimited
-        self.train_cap = 0
         # the loaded program's batch entry point, cached by load_program
         self._process_batch: Callable | None = None
         #: in-band telemetry tap (repro.obs.telemetry.ChassisTap),
@@ -213,66 +203,17 @@ class SwitchChassis:
         return deliver
 
     # ------------------------------------------------------------------
-    # Burst granularity
+    # Window-coalesced datapath (burst_epsilon > 0)
     # ------------------------------------------------------------------
-    def burst_ingress_callback(self, in_port: int):
-        """Burst-granularity ``deliver(frame)`` closure for ``in_port``.
-
-        Frames arriving at the same instant -- across *all* ports -- are
-        buffered under their exact arrival timestamp, and one pipeline
-        drain event (scheduled by the first arrival of the group) hands
-        the whole group to the program at ``t + pipeline_latency_s``:
-        the same time each frame's individual pipeline completion would
-        have fired in packet mode, with within-group arrival order
-        preserved.  Wired instead of :meth:`ingress_callback` by the job
-        when ``granularity="burst"`` so the packet-mode path carries no
-        extra branch.
-        """
-        sim = self.sim
-        schedule_call = self._schedule_call
-
-        def deliver(frame: Frame) -> None:
-            if self.program is None:
-                raise RuntimeError(f"{self.name}: no dataplane program loaded")
-            self.frames_in += 1
-            t = sim.now
-            eps = self.burst_epsilon
-            group = self._in_group
-            if eps > 0.0:
-                # epsilon window: arrivals in [t0, t0 + eps] of the open
-                # group ride its drain (already scheduled at t0 + eps +
-                # pipeline latency); the drain clears the group ref
-                if group is not None and self._in_t <= t <= self._in_t + eps:
-                    group.append((frame, in_port))
-                else:
-                    self._in_group = group = [(frame, in_port)]
-                    self._in_t = t
-                    schedule_call(
-                        eps + self.pipeline_latency_s,
-                        self._run_pipeline_burst,
-                        group,
-                    )
-                return
-            if group is not None and t == self._in_t:
-                group.append((frame, in_port))
-            else:
-                self._in_group = group = [(frame, in_port)]
-                self._in_t = t
-                schedule_call(
-                    self.pipeline_latency_s, self._run_pipeline_burst, group
-                )
-
-        return deliver
-
     def burst_ingress_many_callback(self, in_port: int):
-        """Batched companion to :meth:`burst_ingress_callback`.
+        """A ``deliver_many(frames)`` closure bound to ``in_port``.
 
-        Wired as the uplink's ``deliver_many``: one call takes a whole
-        link drain group, all sharing the drain's ``sim.now``.  Because
-        the timestamps are identical, replaying the per-frame closure
-        would test the group window once and then append -- this does
-        exactly that, without the per-frame calls, so group membership
-        and drain scheduling are unchanged.
+        Wired as the uplink's ``deliver_many`` when ``burst_epsilon >
+        0``: one call takes a whole link drain, all sharing the drain's
+        ``sim.now``, and appends it to the open ingress window -- or
+        opens a new one, whose first arrival schedules the pipeline
+        drain.  The drain clears the group ref, so later arrivals open a
+        fresh window.
         """
         sim = self.sim
         schedule_call = self._schedule_call
@@ -284,36 +225,28 @@ class SwitchChassis:
             t = sim.now
             eps = self.burst_epsilon
             group = self._in_group
-            if eps > 0.0:
-                if group is not None and self._in_t <= t <= self._in_t + eps:
-                    group.extend((frame, in_port) for frame in frames)
-                else:
-                    self._in_group = group = [(frame, in_port) for frame in frames]
-                    self._in_t = t
-                    schedule_call(
-                        eps + self.pipeline_latency_s,
-                        self._run_pipeline_burst,
-                        group,
-                    )
-                return
-            if group is not None and t == self._in_t:
+            if group is not None and self._in_t <= t <= self._in_t + eps:
                 group.extend((frame, in_port) for frame in frames)
             else:
                 self._in_group = group = [(frame, in_port) for frame in frames]
                 self._in_t = t
                 schedule_call(
-                    self.pipeline_latency_s, self._run_pipeline_burst, group
+                    eps + self.pipeline_latency_s, self._run_pipeline_burst, group
                 )
 
         return deliver_many
 
     def _run_pipeline_burst(self, group: list[tuple[Frame, int]]) -> None:
-        """Drain one simultaneous-arrival group through the pipeline.
+        """Drain one ingress window through the pipeline.
 
         Programs exposing ``process_batch`` (the SwitchML dataplane) get
-        the whole group at once; others fall back to per-frame
-        :meth:`_run_pipeline` calls, which at this point differ from
-        packet mode only in having shared one engine event.
+        the whole group at once, and the deliveries leave as one frame
+        train per egress port: every frame submits at this drain's
+        ``sim.now``, exactly when a per-frame loop would have called
+        ``send``, and batching per port only reorders work across
+        disjoint links -- appends to different links' windows commute.
+        Other programs fall back to per-frame :meth:`_run_pipeline`
+        calls sharing this one engine event.
         """
         if group is self._in_group:
             self._in_group = None
@@ -332,89 +265,24 @@ class SwitchChassis:
         egress_list = self._egress_list
         nports = len(egress_list)
         forwarded: set[int] | None = set() if tap is not None else None
-        if self.train_egress:
-            # Group the drain's deliveries per egress port and run each
-            # port's send bodies as one batch (identical per-link frame
-            # order to the per-frame loop -- the port-major processing
-            # only batches disjoint links).  Dispatch, however, must
-            # happen in the original cross-link delivery order: arrival
-            # entries for different downlinks can tie at the same
-            # instant, and their creation order is the tie-break the
-            # per-frame loop would have produced.
-            now = self.sim.now
-            by_port: dict[int, list[tuple[float, Frame]]] = {}
-            # when every egress link runs an epsilon window, appends to
-            # different links' windows commute -- the cross-link
-            # delivery order never needs replaying, so skip recording it
-            eps_fast = all(
-                e is None or (e.burst and e.burst_epsilon > 0.0)
-                for e in egress_list
-            )
-            order: list[int] | None = None if eps_fast else []
-            for decision in decisions:
-                deliveries = decision.deliveries
-                self.frames_out += len(deliveries)
-                for port, out_frame in deliveries:
-                    if forwarded is not None:
-                        forwarded.add(id(out_frame))
-                    if order is not None:
-                        order.append(port)
-                    pairs = by_port.get(port)
-                    if pairs is None:
-                        by_port[port] = [(now, out_frame)]
-                    else:
-                        pairs.append((now, out_frame))
-            cap = self.train_cap
-            for port in by_port:
-                egress = egress_list[port] if 0 <= port < nports else None
-                if egress is None:
-                    raise RuntimeError(
-                        f"{self.name}: no egress link on port {port}"
-                    )
-            if eps_fast:
-                # each port's whole batch folds into its link's window
-                # with no cross-link interleaving; send_train takes the
-                # fused body+fold path on clean links
-                for port, pairs in by_port.items():
-                    egress = egress_list[port]
-                    if cap and len(pairs) > cap:
-                        for s0 in range(0, len(pairs), cap):
-                            egress.send_train(pairs[s0 : s0 + cap])
-                    else:
-                        egress.send_train(pairs)
-            else:
-                cursors: dict[int, Any] = {}
-                for port, pairs in by_port.items():
-                    egress = egress_list[port]
-                    if cap and len(pairs) > cap:
-                        records: list = []
-                        for s0 in range(0, len(pairs), cap):
-                            records.extend(
-                                egress.send_bodies(pairs[s0 : s0 + cap])[0]
-                            )
-                    else:
-                        records = egress.send_bodies(pairs)[0]
-                    cursors[port] = iter(records)
-                for port in order:
-                    rec = next(cursors[port])
-                    if rec is not None:
-                        # all submits are at this drain's instant, so the
-                        # dispatch runs inline (same as the per-frame
-                        # tail)
-                        egress_list[port]._dispatch_one(rec)
-        else:
-            for decision in decisions:
-                deliveries = decision.deliveries
-                self.frames_out += len(deliveries)
-                for port, out_frame in deliveries:
-                    egress = egress_list[port] if 0 <= port < nports else None
-                    if egress is None:
-                        raise RuntimeError(
-                            f"{self.name}: no egress link on port {port}"
-                        )
-                    if forwarded is not None:
-                        forwarded.add(id(out_frame))
-                    egress.send(out_frame)
+        now = self.sim.now
+        by_port: dict[int, list[tuple[float, Frame]]] = {}
+        for decision in decisions:
+            deliveries = decision.deliveries
+            self.frames_out += len(deliveries)
+            for port, out_frame in deliveries:
+                if forwarded is not None:
+                    forwarded.add(id(out_frame))
+                pairs = by_port.get(port)
+                if pairs is None:
+                    by_port[port] = [(now, out_frame)]
+                else:
+                    pairs.append((now, out_frame))
+        for port in by_port:
+            if not (0 <= port < nports and egress_list[port] is not None):
+                raise RuntimeError(f"{self.name}: no egress link on port {port}")
+        for port, pairs in by_port.items():
+            egress_list[port].send_train(pairs)
         if tap is not None:
             for frame, _port in group:
                 if id(frame) in forwarded:

@@ -40,9 +40,7 @@ _FIG4_ELEMENTS = 32 * 8192
 def _fig4_config(
     loss: float,
     scheduler: str = "wheel",
-    granularity: str = "packet",
     burst_epsilon: float = 0.0,
-    train_egress: bool = False,
 ) -> SwitchMLConfig:
     factory = (lambda: BernoulliLoss(loss)) if loss > 0.0 else NoLoss
     return SwitchMLConfig(
@@ -52,9 +50,7 @@ def _fig4_config(
         seed=7,
         loss_factory=factory,
         scheduler=scheduler,
-        granularity=granularity,
         burst_epsilon=burst_epsilon,
-        train_egress=train_egress,
     )
 
 
@@ -95,66 +91,23 @@ def fig4_clean(scale: float = 1.0) -> dict[str, Any]:
     return _run_job(_fig4_config(loss=0.0), max(256, int(_FIG4_ELEMENTS * scale)))
 
 
-def fig4_lossy_burst(scale: float = 1.0) -> dict[str, Any]:
-    """:func:`fig4_lossy` at burst granularity.
-
-    Same protocol run (identical results, retransmission counts, and
-    TATs -- the equivalence tests assert it), but simultaneous arrivals
-    drain through one engine event and the switch's vectorized batch
-    handler.  ``events`` is smaller than packet mode's by construction,
-    so events/sec is NOT comparable across granularities: compare
-    ``wall_s`` and ``packets_per_s`` instead (the fingerprint extras
-    stay comparable).
-    """
-    return _run_job(
-        _fig4_config(loss=0.01, granularity="burst"),
-        max(256, int(_FIG4_ELEMENTS * scale)),
-    )
-
-
-def fig4_clean_burst(scale: float = 1.0) -> dict[str, Any]:
-    """:func:`fig4_clean` at burst granularity (see fig4_lossy_burst)."""
-    return _run_job(
-        _fig4_config(loss=0.0, granularity="burst"),
-        max(256, int(_FIG4_ELEMENTS * scale)),
-    )
-
-
-def fig4_lossy_burst_eps(scale: float = 1.0) -> dict[str, Any]:
-    """:func:`fig4_lossy_burst` with a 20 us epsilon coalescing window.
-
-    The window lets burst mode merge near-simultaneous arrivals (not
-    just exact ties) into one drain, so the vectorized batch bodies see
-    batches big enough to pay off.  eps=20 us is several RTTs but far
-    below the 1 ms retransmission timeout: the run is
-    protocol-equivalent, NOT schedule-identical -- results and recovery
-    behavior match, but per-packet timings shift by up to eps per hop,
-    which shows up as an additive ``max_tat_s`` inflation of roughly
-    rounds x hops x eps (~3x here; see docs/PERFORMANCE.md).  Compare
-    ``wall_s``/``packets_per_s`` against fig4_lossy for the speedup.
-    """
-    return _run_job(
-        _fig4_config(loss=0.01, granularity="burst", burst_epsilon=2e-5),
-        max(256, int(_FIG4_ELEMENTS * scale)),
-    )
-
-
 def fig4_lossy_train(scale: float = 1.0) -> dict[str, Any]:
-    """:func:`fig4_lossy_burst_eps` with frame-train egress on top.
+    """:func:`fig4_lossy` on the window path (``burst_epsilon`` = 20 us).
 
-    The full batched TX path: worker chunk groups leave through one
-    :meth:`~repro.net.host.Host.send_train` call (one dispatch cursor
-    instead of one engine event per frame), and the switch fans each
-    drain out through per-port batched send bodies.  At eps=0 the train
-    path is bit-identical to per-frame sends (the equivalence tests pin
-    it); at this workload's 20 us window it inherits burst_eps's
-    protocol-equivalent-not-schedule-identical caveat.  This is the
-    headline egress workload: compare ``wall_s`` against fig4_lossy.
+    Links, hosts and the switch merge near-simultaneous arrivals into
+    one drain, worker chunk groups leave as frame trains, and the
+    vectorized batch bodies see batches big enough to pay off.  20 us is
+    several RTTs but far below the 1 ms retransmission timeout: the run
+    is protocol-equivalent, NOT schedule-identical -- results and
+    recovery behavior match, but per-packet timings shift by up to eps
+    per hop, which shows up as an additive ``max_tat_s`` inflation of
+    roughly rounds x hops x eps (see docs/PERFORMANCE.md).  ``events``
+    is smaller than :func:`fig4_lossy`'s by construction, so events/sec
+    is NOT comparable between the two: compare ``wall_s`` and
+    ``packets_per_s``.
     """
     return _run_job(
-        _fig4_config(
-            loss=0.01, granularity="burst", burst_epsilon=2e-5, train_egress=True
-        ),
+        _fig4_config(loss=0.01, burst_epsilon=2e-5),
         max(256, int(_FIG4_ELEMENTS * scale)),
     )
 
@@ -311,9 +264,6 @@ def core_scaling(scale: float = 1.0) -> dict[str, Any]:
 WORKLOADS: dict[str, Callable[[float], dict[str, Any]]] = {
     "fig4_lossy": fig4_lossy,
     "fig4_clean": fig4_clean,
-    "fig4_lossy_burst": fig4_lossy_burst,
-    "fig4_clean_burst": fig4_clean_burst,
-    "fig4_lossy_burst_eps": fig4_lossy_burst_eps,
     "fig4_lossy_train": fig4_lossy_train,
     "fig4_telemetry": fig4_telemetry,
     "engine_churn": engine_churn,

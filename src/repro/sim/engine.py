@@ -89,23 +89,6 @@ class Event:
         return f"<Event t={self.time:.9f} seq={self.seq} {state} fn={self.fn!r}>"
 
 
-class _TrainCursor:
-    """Walks one frame train: ``fn(items[i])`` fires at ``times[i]``.
-
-    Only the cursor's *current* element occupies a scheduler entry; see
-    :meth:`Simulator.schedule_train`.
-    """
-
-    __slots__ = ("times", "fn", "items", "i", "seq")
-
-    def __init__(self, times, fn, items, seq):
-        self.times = times
-        self.fn = fn
-        self.items = items
-        self.i = 0
-        self.seq = seq
-
-
 #: heap entries are ``(time, seq, event_or_None, fn, args)`` tuples; the
 #: unique ``seq`` guarantees tuple comparison never reaches index 2, so
 #: cancellable events (an :class:`Event` in slot 2) and anonymous fast
@@ -299,106 +282,6 @@ class Simulator:
                 lst.append((time, seq, None, fn, args))
         else:
             heapq.heappush(self._heap, (time, seq, None, fn, args))
-
-    def schedule_train(self, times, fn: Callable[..., Any], items) -> None:
-        """Schedule ``fn(items[k])`` at ``times[k]`` with ONE pending entry.
-
-        A *frame train* is an ordered batch of callbacks whose fire times
-        are already known (e.g. the per-frame dispatch records computed
-        by :meth:`repro.net.link.Link.send_train`).  Scheduling them
-        individually would push ``len(items)`` entries into the heap at
-        once; the train keeps exactly one entry pending -- a cursor that,
-        on firing, drains the whole run of elements sharing the current
-        fire time through consecutive ``fn`` calls, and re-inserts itself
-        at the next (strictly later) time *before* invoking any of them,
-        so anything a callback schedules at that later instant still
-        fires after the train's next run (matching the per-frame path,
-        where all the entries were scheduled up front and therefore carry
-        older sequence numbers than callback-spawned events).  Draining a
-        same-time run in one event is also what the per-frame path does
-        observationally: entries scheduled back-to-back by one event get
-        consecutive sequence numbers, so nothing can interleave them.
-
-        The cursor's entry keeps its *creation* sequence number across
-        every re-insertion.  Had the entries been scheduled up front,
-        they would all carry creation-time seqs; at a fire time shared
-        with another train (or any entry scheduled after this call) the
-        tie therefore breaks by creation order, not by whenever each
-        cursor last happened to advance -- the two orders diverge as soon
-        as trains walk different time grids, and the per-frame path
-        always uses the former.
-
-        ``times`` must be non-decreasing with ``times[0] >= now`` --
-        callers keep submit order for ties, which is exactly the
-        ``(time, seq)`` order the per-frame path produces.
-        """
-        n = len(items)
-        if n == 0:
-            return
-        time = times[0]
-        if n == 1:
-            self.schedule_call_at(time, fn, items[0])
-            return
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule train at t={time} before now={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        cursor = _TrainCursor(times, fn, items, seq)
-        self._live += 1
-        horizon = self._horizon_idx
-        bucket = -1 if horizon is None else int(time / self._gran)
-        if horizon is not None and bucket >= horizon:
-            buckets = self._buckets
-            lst = buckets.get(bucket)
-            if lst is None:
-                buckets[bucket] = [(time, seq, None, self._fire_train, (cursor,))]
-                heapq.heappush(self._bucket_heap, bucket)
-            else:
-                lst.append((time, seq, None, self._fire_train, (cursor,)))
-        else:
-            heapq.heappush(self._heap, (time, seq, None, self._fire_train, (cursor,)))
-
-    def _fire_train(self, cursor: "_TrainCursor") -> None:
-        """Fire one same-time run of train elements; re-insert for the next.
-
-        The re-insert happens *before* any callback runs (see
-        :meth:`schedule_train` for why that ordering is load-bearing).
-        """
-        i = cursor.i
-        items = cursor.items
-        times = cursor.times
-        n = len(items)
-        t = times[i]
-        j = i + 1
-        while j < n and times[j] == t:
-            j += 1
-        if j < n:
-            cursor.i = j
-            time = times[j]
-            # sticky seq: re-insert under the creation-time sequence
-            # number (see schedule_train) -- the counter does not advance
-            seq = cursor.seq
-            self._live += 1
-            horizon = self._horizon_idx
-            bucket = -1 if horizon is None else int(time / self._gran)
-            if horizon is not None and bucket >= horizon:
-                buckets = self._buckets
-                lst = buckets.get(bucket)
-                if lst is None:
-                    buckets[bucket] = [(time, seq, None, self._fire_train, (cursor,))]
-                    heapq.heappush(self._bucket_heap, bucket)
-                else:
-                    lst.append((time, seq, None, self._fire_train, (cursor,)))
-            else:
-                heapq.heappush(
-                    self._heap, (time, seq, None, self._fire_train, (cursor,))
-                )
-        fn = cursor.fn
-        fn(items[i])
-        for k in range(i + 1, j):
-            fn(items[k])
 
     # ------------------------------------------------------------------
     # Internal bookkeeping

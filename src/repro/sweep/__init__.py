@@ -1,7 +1,7 @@
 """Parallel scenario orchestration and adversarial fault fuzzing.
 
 Every open direction in ROADMAP.md multiplies simulation count --
-seeds x faults x topologies x granularities -- so the repo needs a way
+seeds x faults x topologies x epsilons -- so the repo needs a way
 to run *many* independent simulations, not one.  This package supplies
 it in three layers:
 
@@ -25,8 +25,8 @@ it in three layers:
 
 :mod:`repro.sweep.fuzz`
     The scenario fuzzer: composes random :class:`FaultPlan` /
-    :class:`FabricFaultPlan` draws with protocol knobs (granularity,
-    epsilon, backend, loss, jitter) and asserts the tier-1 invariants
+    :class:`FabricFaultPlan` draws with protocol knobs (epsilon,
+    backend, loss, jitter) and asserts the tier-1 invariants
     on every draw (exact sums, bounded recovery, epoch fencing,
     obs/trace consistency).  Failing draws are minimized to the
     smallest plan that still violates and are replayable standalone

@@ -3,12 +3,12 @@
 Hand-written fault tests cover isolated failures; the open ROADMAP
 directions (sharding, multi-job, FP/sparse modes) need the protocol's
 self-recovery validated under *composed* adversity -- crash storms
-during flap bursts on lossy, jittered links, at every granularity.
+during flap bursts on lossy, jittered links, on both execution paths.
 Each fuzz draw:
 
 1. deterministically generates a scenario from its seed -- a domain
    (flat rack / controller-managed rack / Clos fabric), protocol knobs
-   (loss, jitter, granularity, epsilon window, backend, stragglers),
+   (loss, jitter, epsilon window, backend, stragglers),
    and a random :class:`FaultPlan` / :class:`FabricFaultPlan`;
 2. runs it and asserts the tier-1 invariants
    (:mod:`repro.sweep.invariants`): exact sums, bounded recovery,
@@ -39,6 +39,7 @@ from repro.sweep.invariants import (
     check_exact,
     check_obs_consistency,
 )
+from repro.sweep.scenarios import check_knobs
 from repro.sweep.tasks import TaskSpec, derive_seed
 
 __all__ = [
@@ -57,6 +58,19 @@ DOMAINS = ("flat", "rack", "fabric")
 
 #: simulated-time horizons per domain (the bounded-recovery invariant)
 _HORIZONS = {"flat": 10.0, "rack": 2.0, "fabric": 5.0}
+
+#: the knobs each domain's runner reads; a draw carrying any other (a
+#: replay line from before a knob was removed, say) is rejected
+_KNOBS = {
+    "flat": frozenset({
+        "workers", "pool", "elements", "loss", "jitter_us", "burst_epsilon",
+        "backend", "start_times_us",
+    }),
+    "rack": frozenset({"workers", "pool", "elements", "loss"}),
+    "fabric": frozenset({
+        "leaves", "spines", "workers_per_leaf", "pool", "elements", "loss",
+    }),
+}
 
 
 # ----------------------------------------------------------------------
@@ -91,30 +105,20 @@ def draw_scenario(
 
 
 def _draw_flat(rng: np.random.Generator) -> dict[str, Any]:
-    granularity = ["packet", "burst"][int(rng.integers(2))]
     knobs: dict[str, Any] = {
         "workers": int(rng.integers(2, 6)),
         "pool": int([8, 16][int(rng.integers(2))]),
         "elements": 32 * int(rng.integers(64, 192)),
         "loss": float([0.0, 0.01, 0.05][int(rng.integers(3))]),
         "jitter_us": float([0.0, 0.0, 2.0][int(rng.integers(3))]),
-        "granularity": granularity,
-        "burst_epsilon": 0.0,
-        "backend": "numpy",
-    }
-    if granularity == "burst":
-        knobs["burst_epsilon"] = float(
-            [0.0, 5e-6, 2e-5][int(rng.integers(3))]
-        )
+        # the execution shape: epsilon picks the path (0 = per-packet,
+        # > 0 = window-coalesced trains), backend the wide switch body.
         # "c" falls back to numpy without a compiler -- bit-equivalent
         # either way (the lockstep equivalence suite is the contract),
         # so draws stay machine-independent
-        knobs["backend"] = ["numpy", "c"][int(rng.integers(2))]
-        # frame-train egress x epsilon x backend interplay (ISSUE 10):
-        # train on/off over every epsilon and backend combination, with
-        # the cap split exercised at a short and an odd length
-        knobs["train_egress"] = bool(rng.integers(2))
-        knobs["train_cap"] = int([0, 0, 3, 17][int(rng.integers(4))])
+        "burst_epsilon": float([0.0, 5e-6, 2e-5, 5e-5][int(rng.integers(4))]),
+        "backend": ["numpy", "c"][int(rng.integers(2))],
+    }
     # stragglers: skewed gradient availability at some workers
     if rng.random() < 0.3:
         knobs["start_times_us"] = [
@@ -170,9 +174,6 @@ def _draw_fabric(rng: np.random.Generator) -> dict[str, Any]:
         "pool": 16,
         "elements": 32 * 120,
         "loss": float([0.0, 0.0, 0.01][int(rng.integers(3))]),
-        # worker-side frame trains over the fabric ingest path
-        "train_egress": bool(rng.integers(2)),
-        "train_cap": int([0, 0, 5][int(rng.integers(3))]),
     }
     faults: list[dict[str, Any]] = []
     # at most spines-1 spine crashes: some spine must survive to home
@@ -217,7 +218,9 @@ def run_draw(draw: dict[str, Any]) -> dict[str, Any]:
     anywhere inside the simulation is reported as a violation (kind
     ``crash:``) rather than raised: an unhandled exception under a
     legal fault plan is a finding, and findings must land in the
-    artifact where they can be replayed and minimized.
+    artifact where they can be replayed and minimized.  A draw naming
+    a knob its domain does not read is not a finding but a malformed
+    line: ``ValueError``.
     """
     domain = draw["domain"]
     runner = {
@@ -227,6 +230,7 @@ def run_draw(draw: dict[str, Any]) -> dict[str, Any]:
     }.get(domain)
     if runner is None:
         raise ValueError(f"unknown fuzz domain {domain!r} (have {DOMAINS})")
+    check_knobs(draw.get("knobs", ()), _KNOBS[domain], f"fuzz {domain} draw")
     try:
         return runner(draw)
     except Exception as exc:  # noqa: BLE001 - a finding, not a flake
@@ -254,18 +258,19 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
     loss = float(knobs.get("loss", 0.0))
     obs = Observability()
     horizon = _HORIZONS["flat"]
+    eps = float(knobs.get("burst_epsilon", 0.0))
     cfg = SwitchMLConfig(
         num_workers=int(knobs["workers"]),
         pool_size=int(knobs["pool"]),
         elements_per_packet=32,
-        timeout_s=1e-4,
+        # tight, to provoke retransmission races -- but a round trip
+        # crosses four epsilon windows, so the widest drawn epsilon
+        # needs a longer timer to mean anything (20 us stays at 100 us)
+        timeout_s=max(1e-4, 5.0 * eps),
         link=LinkSpec(jitter_s=float(knobs.get("jitter_us", 0.0)) * 1e-6),
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-        granularity=str(knobs.get("granularity", "packet")),
-        burst_epsilon=float(knobs.get("burst_epsilon", 0.0)),
+        burst_epsilon=eps,
         backend=knobs.get("backend"),
-        train_egress=bool(knobs.get("train_egress", False)),
-        train_cap=int(knobs.get("train_cap", 0)),
         obs=obs,
         seed=int(draw["run_seed"]),
     )
@@ -287,7 +292,8 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
     violations += check_epoch_fencing(
         epoch=0, recoveries=0, stale_epoch_drops=res.switch_stale_epoch_drops
     )
-    if cfg.granularity == "packet":
+    if eps == 0.0:
+        # the window path emits per-burst aggregate trace records
         violations += check_obs_consistency(obs)
     return {
         "violations": violations,
@@ -383,8 +389,6 @@ def _run_fabric(draw: dict[str, Any]) -> dict[str, Any]:
             workers_per_leaf=int(knobs["workers_per_leaf"]),
             pool_size=int(knobs["pool"]),
             loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-            train_egress=bool(knobs.get("train_egress", False)),
-            train_cap=int(knobs.get("train_cap", 0)),
             obs=obs,
             seed=int(draw["run_seed"]),
         )

@@ -14,7 +14,7 @@ correctness story:
   sum); the fence counters must additionally be sane;
 * **obs consistency** -- the metrics counters and the event trace,
   maintained independently along the hot paths, tell the same story
-  (packet granularity only: burst mode emits aggregate records by
+  (per-packet path only: the window path emits aggregate records by
   design, and a tracer that overflowed its ring is excluded).
 """
 

@@ -5,9 +5,9 @@ JSON-serializable measurement record.  Every record carries a
 ``fingerprint`` sub-dict -- the protocol-level observables (per-worker
 TATs, packet/retransmission counts, frames lost, a result checksum)
 that must be bit-identical for equivalent configurations.  Engine event
-counts are reported alongside but kept OUT of the fingerprint: burst
-granularity coalesces events by design while leaving the protocol
-untouched (docs/PERFORMANCE.md).
+counts are reported alongside but kept OUT of the fingerprint: they
+describe the simulator's schedule, not the protocol
+(docs/PERFORMANCE.md).
 
 Scenario parameters are plain dicts so a task is fully described by
 its JSONL record and can be re-run standalone; fault scenarios carry
@@ -23,6 +23,8 @@ import numpy as np
 
 __all__ = [
     "SCENARIOS",
+    "SCENARIO_KNOBS",
+    "check_knobs",
     "protocol_fingerprint",
     "run_scenario",
     "tensors_for",
@@ -54,8 +56,7 @@ def _sha(arr: np.ndarray | None) -> str | None:
 def protocol_fingerprint(result: Any) -> dict[str, Any]:
     """Protocol-level observables of an :class:`AllReduceResult`.
 
-    Bit-identical across ``granularity="packet"`` vs ``"burst"`` at
-    epsilon 0 and across ``backend="numpy"`` vs ``"c"`` -- the
+    Bit-identical across ``backend="numpy"`` vs ``"c"`` -- the
     equivalence contract the cross-config determinism tests pin down.
     """
     first = next((r for r in result.results if r is not None), None)
@@ -85,9 +86,8 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
     """One all-reduce on the paper's Figure 4 rack, knobs from params.
 
     Knobs: ``workers``, ``pool``, ``elements``, ``loss``, ``jitter_us``,
-    ``granularity``, ``burst_epsilon``, ``backend``, ``timeout_s``,
-    ``verify`` (real tensors checked against the exact sum; phantom
-    run when false).
+    ``burst_epsilon``, ``backend``, ``timeout_s``, ``verify`` (real
+    tensors checked against the exact sum; phantom run when false).
     """
     from repro.core.job import SwitchMLConfig, SwitchMLJob
     from repro.net.link import LinkSpec
@@ -102,7 +102,6 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         timeout_s=float(params.get("timeout_s", 1e-4)),
         link=LinkSpec(jitter_s=float(params.get("jitter_us", 0.0)) * 1e-6),
         loss_factory=_loss_factory(float(params.get("loss", 0.0))),
-        granularity=str(params.get("granularity", "packet")),
         burst_epsilon=float(params.get("burst_epsilon", 0.0)),
         backend=params.get("backend"),
         seed=seed,
@@ -244,6 +243,38 @@ def _scenario_fuzz(params: dict[str, Any], seed: int) -> dict[str, Any]:
     return run_draw_task(params, seed)
 
 
+#: the params each scenario reads.  Anything else in a task's params is
+#: an error, never a silent no-op: a mistyped or since-removed knob
+#: would otherwise run a different experiment than its line describes.
+_FIG4_KNOBS = frozenset({
+    "workers", "pool", "elements", "loss", "jitter_us", "burst_epsilon",
+    "backend", "timeout_s", "verify",
+})
+SCENARIO_KNOBS: dict[str, frozenset[str]] = {
+    "fig4_lossy": _FIG4_KNOBS,
+    "fig4_clean": _FIG4_KNOBS,
+    "fig4": _FIG4_KNOBS,
+    "rack_faults": frozenset({
+        "workers", "pool", "elements", "loss", "deadline_s", "plan",
+    }),
+    "fabric": frozenset({
+        "leaves", "spines", "workers_per_leaf", "pool", "elements", "loss",
+        "deadline_s", "plan",
+    }),
+    "fuzz": frozenset({"draw", "domains"}),
+}
+
+
+def check_knobs(keys, known: frozenset[str], where: str) -> None:
+    """Raise ``ValueError`` naming every key of ``keys`` not in ``known``."""
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown knob(s) {', '.join(unknown)} "
+            f"(have {', '.join(sorted(known))})"
+        )
+
+
 SCENARIOS: dict[str, Callable[[dict[str, Any], int], dict[str, Any]]] = {
     "fig4_lossy": _scenario_fig4_lossy,
     "fig4_clean": _scenario_fig4_clean,
@@ -255,11 +286,16 @@ SCENARIOS: dict[str, Callable[[dict[str, Any], int], dict[str, Any]]] = {
 
 
 def run_scenario(name: str, params: dict[str, Any], seed: int) -> dict[str, Any]:
-    """Run one scenario by name; raises KeyError for unknown names."""
+    """Run one scenario by name; raises KeyError for unknown names and
+    ValueError for params the scenario does not read."""
     try:
         fn = SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r} (have {sorted(SCENARIOS)})"
         ) from None
+    # make_tasks stamps every task's params with its seed index
+    check_knobs(
+        params, SCENARIO_KNOBS[name] | {"seed_index"}, f"scenario {name!r}"
+    )
     return fn(params, seed)

@@ -1,7 +1,8 @@
 """Batch-body backend equivalence (ISSUE 8).
 
 Every body behind ``SwitchMLProgram.handle_batch`` -- the pure-NumPy
-vectorized path and the optional compiled C kernel -- must match the
+vectorized path, the optional compiled C kernel, and the per-packet
+replay a traced or invariant-checking program takes -- must match the
 per-packet :meth:`handle` reference *bit for bit*: identical decision
 sequences (action, destination, payload), identical register contents
 after every batch, identical protocol counters.
@@ -22,6 +23,7 @@ import pytest
 from repro.core.backend import load_switch_kernel, unavailable_reason
 from repro.core.packet import SwitchMLPacket
 from repro.core.switch_program import SwitchAction, SwitchMLProgram
+from repro.obs import Observability
 
 N = 4  # workers
 S = 8  # pool slots
@@ -33,8 +35,8 @@ def _needs_kernel():
         pytest.skip(f"compiled backend unavailable: {unavailable_reason()}")
 
 
-def _make_program(backend: str) -> SwitchMLProgram:
-    prog = SwitchMLProgram(N, S, K, backend=backend)
+def _make_program(backend: str, **kwargs) -> SwitchMLProgram:
+    prog = SwitchMLProgram(N, S, K, backend=backend, **kwargs)
     if backend == "c":
         assert prog.backend == "c"
     # exercise the batch bodies at every size, not just >= BATCH_MIN
@@ -119,9 +121,9 @@ def _assert_decisions_match(got, want, tag):
         )
 
 
-def _run_lockstep(backend: str, seed: int):
+def _run_lockstep(backend: str, seed: int, **kwargs):
     rng = np.random.default_rng(seed)
-    prog = _make_program(backend)
+    prog = _make_program(backend, **kwargs)
     ref = _make_program("numpy")
     for b, batch_model in enumerate(_drive(rng)):
         batch, ver, chunk, done = batch_model
@@ -138,6 +140,7 @@ def _run_lockstep(backend: str, seed: int):
                 gs[key], ws[key], err_msg=f"batch {b}: register {key}"
             )
         _advance((ver, chunk, done), want)
+    return prog
 
 
 class TestNumpyBodyMatchesReference:
@@ -159,6 +162,28 @@ class TestCompiledBodyMatchesReference:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             SwitchMLProgram(N, S, K, backend="fortran")
+
+
+class TestSpecReplayMatchesReference:
+    """With the tracer or ``check_invariants`` on, ``handle_batch`` runs
+    the spec loop itself plus one aggregate record per drain."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_traced_lockstep(self, backend):
+        if backend == "c":
+            _needs_kernel()
+        obs = Observability()
+        prog = _run_lockstep(backend, 42, obs=obs)
+        drains = [dict(e.args) for e in obs.tracer.select(name="burst.switch")]
+        assert len(drains) == 60  # one per batch the driver yields
+        assert sum(d["packets"] for d in drains) == prog.packets_processed
+        assert sum(d["emissions"] for d in drains) == (
+            prog.multicasts + prog.unicast_retransmits
+        )
+        assert obs.tracer.count("slot.release") == prog.multicasts
+
+    def test_check_invariants_lockstep(self):
+        _run_lockstep("numpy", 42, check_invariants=True)
 
 
 class TestFailSoftFallback:

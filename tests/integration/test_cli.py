@@ -288,3 +288,41 @@ class TestCliBenchTrend:
         out = capsys.readouterr().out
         assert "fig4_lossy" in out
         assert "BENCH_0003.json" in out
+
+
+class TestCliRetiredKnobs:
+    """A command line or replay file from before ``burst_epsilon`` became
+    the only execution dial must fail loudly, naming the knob."""
+
+    @pytest.mark.parametrize("flag,knob", [
+        ("--grid", "granularity=packet,burst"),
+        ("--param", "train_egress=true"),
+        ("--param", "train_cap=5"),
+    ])
+    def test_sweep_rejects_retired_knob(self, flag, knob, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "fig4_lossy", "--seeds", "1",
+                     flag, knob, "--out", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert knob.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()  # nothing ran
+
+    def test_fuzz_replay_rejects_retired_knob(self, tmp_path, capsys):
+        import json as _json
+
+        line = tmp_path / "draw.json"
+        line.write_text(_json.dumps({
+            "domain": "flat", "run_seed": 1,
+            "knobs": {"workers": 2, "pool": 8, "elements": 2048,
+                      "loss": 0.0, "granularity": "burst",
+                      "burst_epsilon": 2e-5},
+        }))
+        assert main(["fuzz", "--replay", str(line)]) == 2
+        assert "granularity" in capsys.readouterr().err
+
+    def test_epsilon_grid_still_sweeps(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "fig4_lossy", "--seeds", "1",
+                     "--param", "workers=2", "--param", "elements=1024",
+                     "--grid", "burst_epsilon=0,2e-5", "--check",
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == 0
+        assert "2 tasks" in capsys.readouterr().out

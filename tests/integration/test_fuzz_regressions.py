@@ -91,35 +91,22 @@ class TestRebootPlusFlapReplay:
 
 class TestStaleRetransmissionSlotPoisoning:
     # minimized from fuzz#d23 (root seed 0): jittered links + staggered
-    # starts + burst coalescing; before the phase-offset discipline this
-    # produced identical wrong sums on all five workers
+    # starts + window coalescing; before the phase-offset discipline
+    # this produced identical wrong sums on all five workers
     DRAW = {
         "domain": "flat",
         "run_seed": 177005020551573,
         "knobs": {
             "workers": 5, "pool": 8, "elements": 2784, "loss": 0.0,
-            "jitter_us": 2.0, "granularity": "burst", "burst_epsilon": 2e-05,
-            "backend": "c",
+            "jitter_us": 2.0, "burst_epsilon": 2e-05, "backend": "c",
             "start_times_us": [107.0, 143.0, 164.0, 119.0, 136.0],
         },
     }
 
-    @pytest.mark.parametrize("granularity,backend", [
-        ("burst", "c"),
-        ("burst", "numpy"),
-        ("packet", "numpy"),
-    ])
-    def test_exact_sums_under_reordered_stale_retx(self, granularity, backend):
-        knobs = {**self.DRAW["knobs"], "granularity": granularity,
-                 "backend": backend}
-        if granularity == "packet":
-            knobs["burst_epsilon"] = 0.0
-        draw = {**self.DRAW, "knobs": knobs}
-        out = assert_clean(draw)
-        if granularity == "burst":
-            # retransmissions are the trigger: without them the
-            # stale-phase race cannot arise and the replay proves
-            # nothing.  (Packet mode doesn't coalesce result delivery,
-            # so this seed produces none there -- that variant only
-            # cross-checks the discipline against the reference path.)
-            assert out["observables"]["retransmissions"] > 0
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_exact_sums_under_reordered_stale_retx(self, backend):
+        knobs = {**self.DRAW["knobs"], "backend": backend}
+        out = assert_clean({**self.DRAW, "knobs": knobs})
+        # retransmissions are the trigger: without them the stale-phase
+        # race cannot arise and the replay proves nothing
+        assert out["observables"]["retransmissions"] > 0

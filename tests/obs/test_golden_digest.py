@@ -91,9 +91,7 @@ CONFIGS = {
     "lossy_jitter_reuse_off": lambda: _lossy(
         link=LinkSpec(jitter_s=2e-6), reuse_buffers=False
     ),
-    "burst_eps_train": lambda: _lossy(
-        granularity="burst", burst_epsilon=2e-5, train_egress=True
-    ),
+    "burst_eps_train": lambda: _lossy(burst_epsilon=2e-5),
     "fabric_congest_trunk": _fabric_congested,
 }
 

@@ -165,18 +165,21 @@ class TestDisabledPath:
         assert tat_off == tat_on
 
 
-class TestTracedBurstRun:
-    def test_burst_granularity_with_tracing_enabled(self):
+class TestTracedWindowRun:
+    def test_window_path_with_tracing_enabled(self):
         # regression: the burst.switch trace point referenced a stale
-        # local and crashed any traced run at granularity="burst"
+        # local and crashed any traced run off the per-packet path
         obs = Observability()
-        job = run_job(obs, granularity="burst")
+        job = run_job(obs, burst_epsilon=2e-5)
         batches = [dict(e.args) for e in obs.tracer.events
                    if e.name == "burst.switch"]
         assert batches
         assert sum(b["packets"] for b in batches) == \
             job.program.packets_processed
         assert all(b["groups"] >= 1 for b in batches)
+        # per-burst aggregates replace the per-packet worker events
+        assert obs.tracer.count("packet.tx") == 0
+        assert obs.tracer.count("burst.rx") > 0
 
 
 class TestFig5LossScenario:

@@ -429,17 +429,17 @@ class TestObservabilityTelemetryParam:
 
 
 class TestInstrumentedRack:
-    def _run(self, granularity):
+    def _run(self, burst_epsilon=0.0):
         obs = Observability(enabled=False, telemetry=True)
         job = SwitchMLJob(SwitchMLConfig(
-            num_workers=4, granularity=granularity, obs=obs
+            num_workers=4, burst_epsilon=burst_epsilon, obs=obs
         ))
         res = job.all_reduce(num_elements=4096, verify=False)
         assert res.completed
         return obs.telemetry.collector
 
     def test_frames_drain_and_series_fill(self):
-        col = self._run("packet")
+        col = self._run()
         assert col.frames_drained > 0
         assert col.hops_drained >= col.frames_drained
         assert any(len(s) for s in col.links.values())
@@ -447,12 +447,14 @@ class TestInstrumentedRack:
         assert len(set(col.progress.values())) == 1
         assert len(col.progress) == 4
 
-    def test_burst_matches_packet_granularity(self):
-        packet = self._run("packet")
-        burst = self._run("burst")
-        assert packet.frames_drained == burst.frames_drained
-        assert packet.hops_drained == burst.hops_drained
-        assert packet.progress == burst.progress
+    def test_window_path_carries_the_same_stamps(self):
+        # clean links: both paths move the same frames over the same
+        # hops, batched or not
+        packet = self._run()
+        window = self._run(burst_epsilon=2e-5)
+        assert packet.frames_drained == window.frames_drained
+        assert packet.hops_drained == window.hops_drained
+        assert packet.progress == window.progress
 
     def test_frames_not_stamped_without_hub(self):
         job = SwitchMLJob(SwitchMLConfig(num_workers=2))

@@ -233,81 +233,3 @@ class TestRandomness:
         x_with_y = sim2.rng("x").random(3)
         assert np.array_equal(x_alone, x_with_y)
 
-
-class TestScheduleTrain:
-    """Frame trains (ISSUE 10): one pending cursor entry walks an
-    ordered (times, items) batch, draining same-time runs in one event
-    and keeping its creation-time sequence number across re-inserts."""
-
-    def test_items_fire_at_their_times_in_order(self):
-        sim = Simulator()
-        out = []
-        sim.schedule_train(
-            [1.0, 1.0, 2.0, 3.0],
-            lambda x: out.append((sim.now, x)),
-            ["a", "b", "c", "d"],
-        )
-        sim.run()
-        assert out == [(1.0, "a"), (1.0, "b"), (2.0, "c"), (3.0, "d")]
-
-    def test_same_time_run_drains_in_one_event(self):
-        sim = Simulator()
-        out = []
-        sim.schedule_train([1.0] * 5, out.append, list(range(5)))
-        sim.run()
-        assert out == list(range(5))
-        # the whole run was one engine event plus none for re-insert
-        assert sim.events_processed == 1
-
-    def test_empty_train_is_a_no_op(self):
-        sim = Simulator()
-        sim.schedule_train([], lambda x: None, [])
-        sim.run()
-        assert sim.events_processed == 0
-
-    def test_single_item_degenerates_to_plain_entry(self):
-        sim = Simulator()
-        out = []
-        sim.schedule_train([2.0], out.append, ["only"])
-        sim.run()
-        assert out == ["only"]
-        assert sim.now == 2.0
-
-    def test_past_time_raises(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_train([0.5, 0.6], lambda x: None, ["a", "b"])
-
-    def test_sticky_seq_breaks_ties_by_creation_order(self):
-        # two interleaved trains meeting at a shared time: the tie must
-        # break by which train was *created* first (the order the
-        # per-frame path would have scheduled the entries), not by which
-        # cursor advanced most recently
-        sim = Simulator()
-        out = []
-        sim.schedule_train(
-            [1.0, 3.0], lambda x: out.append(x), ["a1", "a3"]
-        )
-        sim.schedule_train(
-            [2.0, 3.0], lambda x: out.append(x), ["b2", "b3"]
-        )
-        sim.run()
-        assert out == ["a1", "b2", "a3", "b3"]
-
-    def test_callback_spawned_event_at_next_run_time_fires_after_it(self):
-        # the cursor re-inserts *before* invoking callbacks, so an event
-        # a callback schedules at the train's next fire time still lands
-        # after that run -- exactly the per-frame ordering
-        sim = Simulator()
-        out = []
-
-        def cb(x):
-            out.append(x)
-            if x == "first":
-                sim.schedule_at(2.0, lambda: out.append("spawned"))
-
-        sim.schedule_train([1.0, 2.0], cb, ["first", "second"])
-        sim.run()
-        assert out == ["first", "second", "spawned"]

@@ -37,13 +37,13 @@ class TestDeriveSeed:
 class TestMakeTasks:
     def test_ids_encode_scenario_grid_and_seed_index(self):
         tasks = make_tasks(
-            "fig4_lossy", 0, 2, grid={"granularity": ["packet", "burst"]}
+            "fig4_lossy", 0, 2, grid={"backend": ["numpy", "c"]}
         )
         assert [t.task_id for t in tasks] == [
-            "fig4_lossy,granularity=packet#s0",
-            "fig4_lossy,granularity=packet#s1",
-            "fig4_lossy,granularity=burst#s0",
-            "fig4_lossy,granularity=burst#s1",
+            "fig4_lossy,backend=numpy#s0",
+            "fig4_lossy,backend=numpy#s1",
+            "fig4_lossy,backend=c#s0",
+            "fig4_lossy,backend=c#s1",
         ]
 
     def test_grid_product_with_shared_params(self):
