@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.packet import SwitchMLPacket
+from repro.core.protocol import DROP_DECISION as _DROP
 from repro.core.switch_program import SwitchAction, SwitchDecision, SwitchMLProgram
 from repro.core.worker import SwitchMLWorker, WorkerStats
 from repro.dataplane.registers import RegisterFile
@@ -48,6 +49,9 @@ from repro.sim.engine import Simulator
 __all__ = ["HierarchicalConfig", "HierarchicalJob", "RackAggregatorProgram", "TreeResult"]
 
 _AGGREGATING, _FORWARDED, _DONE = 0, 1, 2
+
+#: the chassis' shared drop decision, resolved once (process() runs per frame)
+_PORT_DROP = PortDecision.drop()
 
 
 class RackAggregatorProgram:
@@ -80,22 +84,20 @@ class RackAggregatorProgram:
         self._count = self.registers.allocate("count", 2 * pool_size, 8)
         self._seen = self.registers.allocate("seen", 2 * pool_size * num_children, 1)
         self._state = self.registers.allocate("state", 2 * pool_size, 8)
+        # The narrow arrays' list storage, indexed directly on the
+        # per-packet paths below (RegisterArray.reset() clears in place,
+        # so the aliases stay attached); their `accesses` counters are
+        # bumped in bulk, as SwitchMLProgram.handle does.  Layout: flat
+        # (version, slot) index ``vs = ver * s + idx`` for count/state,
+        # ``vs * n + wid`` for seen, ``[vs * k, vs * k + k)`` for pool.
+        self._seen_cells: list[int] = self._seen._scalar
+        self._count_cells: list[int] = self._count._scalar
+        self._state_cells: list[int] = self._state._scalar
         self.partials_forwarded = 0
         self.partial_retransmits = 0
         self.results_multicast = 0
         self.unicast_replies = 0
         self.stale_epoch_drops = 0
-
-    # -- addressing ------------------------------------------------------
-    def _range(self, ver: int, idx: int) -> tuple[int, int]:
-        base = (ver * self.s + idx) * self.k
-        return base, base + self.k
-
-    def _ci(self, ver: int, idx: int) -> int:
-        return ver * self.s + idx
-
-    def _si(self, ver: int, idx: int, wid: int) -> int:
-        return (ver * self.s + idx) * self.n + wid
 
     # -- upward path -------------------------------------------------------
     def handle_child(self, p: SwitchMLPacket) -> SwitchDecision:
@@ -113,52 +115,64 @@ class RackAggregatorProgram:
         """
         if p.epoch != self.epoch:
             self.stale_epoch_drops += 1
-            return SwitchDecision(SwitchAction.DROP)
-        if not 0 <= p.idx < self.s:
-            raise ValueError(f"pool index {p.idx} out of range")
-        if not 0 <= p.wid < self.n:
-            raise ValueError(f"child id {p.wid} out of range")
-        ver, other = p.ver, 1 - p.ver
+            return _DROP
+        idx, wid, ver = p.idx, p.wid, p.ver
+        s, n, k = self.s, self.n, self.k
+        if not 0 <= idx < s:
+            raise ValueError(f"pool index {idx} out of range")
+        if not 0 <= wid < n:
+            raise ValueError(f"child id {wid} out of range")
+        vs = ver * s + idx
+        sb = vs * n + wid
+        seen = self._seen_cells
+        states = self._state_cells
+        lo = vs * k
 
-        if self._seen.read(self._si(ver, p.idx, p.wid)) == 0:
-            self._seen.write(self._si(ver, p.idx, p.wid), 1)
-            self._seen.write(self._si(other, p.idx, p.wid), 0)
-            count_before = self._count.read(self._ci(ver, p.idx))
-            count = (count_before + 1) % self.n
-            self._count.write(self._ci(ver, p.idx), count)
-            lo, hi = self._range(ver, p.idx)
+        if seen[sb] == 0:
+            seen[sb] = 1
+            seen[((1 - ver) * s + idx) * n + wid] = 0
+            self._seen.accesses += 3
+            counts = self._count_cells
+            count_before = counts[vs]
+            count = (count_before + 1) % n
+            counts[vs] = count & 255  # the count cells are 8-bit registers
+            self._count.accesses += 2
             if count_before == 0:
-                self._state.write(self._ci(ver, p.idx), _AGGREGATING)
+                states[vs] = _AGGREGATING
+                self._state.accesses += 1
                 if p.vector is not None:
-                    self._pool.write_range(lo, hi, p.vector)
+                    self._pool.write_range(lo, lo + k, p.vector)
             elif p.vector is not None:
-                self._pool.add_range(lo, hi, p.vector)
+                self._pool.add_range(lo, lo + k, p.vector)
             if count == 0:
                 # All children contributed: ship the partial upstream.
-                self._state.write(self._ci(ver, p.idx), _FORWARDED)
+                states[vs] = _FORWARDED
+                self._state.accesses += 1
                 vector = None
                 if p.vector is not None:
-                    vector = self._pool.read_range(lo, hi)
+                    vector = self._pool.read_range(lo, lo + k)
                 self.partials_forwarded += 1
                 partial = SwitchMLPacket(
-                    wid=self.rack_id, ver=ver, idx=p.idx, off=p.off,
+                    wid=self.rack_id, ver=ver, idx=idx, off=p.off,
                     num_elements=p.num_elements, vector=vector,
                     job_id=p.job_id, epoch=self.epoch,
                 )
                 return SwitchDecision(SwitchAction.MULTICAST, partial)
-            return SwitchDecision(SwitchAction.DROP)
+            return _DROP
 
         # Duplicate from an already-seen child.
-        state = self._state.read(self._ci(ver, p.idx))
+        self._seen.accesses += 1
+        self._state.accesses += 1
+        state = states[vs]
         if state == _FORWARDED:
             # Our partial (or the result) may be lost above us: push the
             # partial up again; the parent's seen bitmap dedups.
             vector = None
             if p.vector is not None:
-                vector = self._pool.read_range(*self._range(ver, p.idx))
+                vector = self._pool.read_range(lo, lo + k)
             self.partial_retransmits += 1
             partial = SwitchMLPacket(
-                wid=self.rack_id, ver=ver, idx=p.idx, off=p.off,
+                wid=self.rack_id, ver=ver, idx=idx, off=p.off,
                 num_elements=p.num_elements, vector=vector,
                 is_retransmission=True, job_id=p.job_id, epoch=self.epoch,
             )
@@ -167,29 +181,32 @@ class RackAggregatorProgram:
             # The slot holds the final aggregate; serve it unicast.
             vector = None
             if p.vector is not None:
-                vector = self._pool.read_range(*self._range(ver, p.idx))
+                vector = self._pool.read_range(lo, lo + k)
             self.unicast_replies += 1
             return SwitchDecision(
-                SwitchAction.UNICAST, p.result_copy(vector), unicast_wid=p.wid
+                SwitchAction.UNICAST, p.result_copy(vector), unicast_wid=wid
             )
         # Still aggregating: contribution already applied; drop.
-        return SwitchDecision(SwitchAction.DROP)
+        return _DROP
 
     # -- downward path -----------------------------------------------------
     def handle_result(self, p: SwitchMLPacket) -> SwitchDecision:
         """Process a completed aggregate arriving from upstream."""
         if p.epoch != self.epoch:
             self.stale_epoch_drops += 1
-            return SwitchDecision(SwitchAction.DROP)
-        state = self._state.read(self._ci(p.ver, p.idx))
-        if state != _FORWARDED:
+            return _DROP
+        vs = p.ver * self.s + p.idx
+        states = self._state_cells
+        if states[vs] != _FORWARDED:
             # Duplicate result (a unicast race); children that still miss
             # it will retransmit and be served from the DONE slot.
-            return SwitchDecision(SwitchAction.DROP)
+            self._state.accesses += 1
+            return _DROP
         if p.vector is not None:
-            lo, hi = self._range(p.ver, p.idx)
-            self._pool.write_range(lo, hi, p.vector)
-        self._state.write(self._ci(p.ver, p.idx), _DONE)
+            lo = vs * self.k
+            self._pool.write_range(lo, lo + self.k, p.vector)
+        states[vs] = _DONE
+        self._state.accesses += 2
         self.results_multicast += 1
         return SwitchDecision(SwitchAction.MULTICAST, p.result_copy(p.vector))
 
@@ -218,7 +235,7 @@ class _RackDataplane:
     def process(self, frame: Frame, in_port: int) -> PortDecision:
         packet = frame.message
         if not isinstance(packet, SwitchMLPacket):
-            return PortDecision.drop()
+            return _PORT_DROP
         if in_port == self.uplink_port:
             decision = self.program.handle_result(packet)
             if decision.action is SwitchAction.MULTICAST:
@@ -236,7 +253,7 @@ class _RackDataplane:
                         for port in range(self.num_children)
                     ]
                 )
-            return PortDecision.drop()
+            return _PORT_DROP
 
         decision = self.program.handle_child(packet)
         if decision.action is SwitchAction.MULTICAST:
@@ -254,7 +271,7 @@ class _RackDataplane:
                 self.bytes_per_element,
             )
             return PortDecision(deliveries=[(decision.unicast_wid, out)])
-        return PortDecision.drop()
+        return _PORT_DROP
 
 
 class _RootDataplane:
@@ -275,10 +292,10 @@ class _RootDataplane:
     def process(self, frame: Frame, in_port: int) -> PortDecision:
         packet = frame.message
         if not isinstance(packet, SwitchMLPacket) or packet.from_switch:
-            return PortDecision.drop()
+            return _PORT_DROP
         decision = self.program.handle(packet)
         if decision.action is SwitchAction.DROP:
-            return PortDecision.drop()
+            return _PORT_DROP
         assert decision.packet is not None
         if decision.action is SwitchAction.UNICAST:
             rack = decision.unicast_wid

@@ -118,15 +118,19 @@ class WorkerSlotState:
     ``tat_start`` / ``tat_finish``
         Scalar aggregation window (tensor aggregation time endpoints).
 
-    Storage: every per-slot field is a NumPy array.  PR 5 kept the
-    scalar-bookkeeping fields (``sent_at``, ``retransmitted``,
-    ``retries``, ``backoff``) as Python lists because a NumPy scalar
-    index costs several times a list index on the per-packet path; the
-    vectorized batch bodies flipped that trade -- those fields are now
-    read and written whole-batch with fancy indexing, and the remaining
-    scalar accesses (the per-packet path) go through ``.item()``-free
-    single-element indexing whose cost is amortized by the batch wins.
-    Everything resets in place, so hot-path aliases stay live.
+    Storage: one buffer per field, two handles on it.  ``st.<field>``
+    is the ndarray -- what the window path's whole-batch bodies index
+    and what :meth:`due` scans.  ``st.<field>_v`` is a ``memoryview``
+    of that same array, built once beside it, for one-element reads and
+    writes: it hands back builtin ``int`` / ``float`` / ``bool`` at
+    about half an ndarray index's cost.  The per-packet path (the
+    default, ``burst_epsilon=0``) touches state only through the views,
+    so no NumPy scalar can reach a timer deadline and, through the
+    first timer that fires, the simulated clock (``np.float64`` holds
+    the same bits as ``float`` but adds and compares several times
+    slower, and every value computed from one is one).  Everything
+    resets in place, so both handles -- and hot-path aliases of either
+    -- stay attached across :meth:`begin` and :meth:`restore`.
     """
 
     #: per-slot NumPy arrays captured by snapshot()/restore()
@@ -135,8 +139,6 @@ class WorkerSlotState:
         "retransmitted", "retries", "backoff", "rtt_sum", "rtt_count",
         "outstanding",
     )
-    #: retained for compatibility: every per-slot field is an array now
-    LIST_FIELDS: tuple[str, ...] = ()
     #: scalar fields captured alongside them
     SCALAR_FIELDS = ("tat_start", "tat_finish")
 
@@ -162,6 +164,8 @@ class WorkerSlotState:
         self.rtt_sum = np.zeros(s, dtype=np.float64)
         self.rtt_count = np.zeros(s, dtype=np.int64)
         self.outstanding = np.zeros(s, dtype=bool)
+        for name in self.ARRAY_FIELDS:
+            setattr(self, name + "_v", memoryview(getattr(self, name)))
         self.tat_start = 0.0
         self.tat_finish = float("nan")
 
@@ -262,15 +266,21 @@ class SwitchSlotState:
 
     plus ``seen_pop``, the maintained per-(version, slot) popcount of the
     ``seen`` bitmap as an int64 array (updated on every bit transition;
-    O(1) inspection instead of an O(n) scan).
+    O(1) inspection instead of an O(n) scan), and ``off_cells``, the
+    tensor offset of the last phase opened in each (version, slot)
+    (``-1`` = none; switch metadata behind the phase-offset discipline
+    of ``SwitchMLProgram.handle``, not one of the paper's registers).
 
     The narrow arrays are NumPy-backed (``numpy_narrow=True``) so the
     batch bodies and the optional compiled kernel can update the
     ``seen`` bitmap and contribution counters whole-batch; their raw
     storage is exposed as ``seen_bits`` / ``count_cells`` (``uint8``
-    arrays) -- the aliases both the per-packet path and the vectorized
-    path index directly.  They stay valid across :meth:`reset` because
-    ``RegisterArray.reset`` clears in place.
+    arrays) -- what the batch bodies and the kernel index.  As in
+    :class:`WorkerSlotState`, each scalar-addressed array has a
+    ``memoryview`` twin on the same storage (``seen_v`` / ``count_v`` /
+    ``pop_v`` / ``off_v``) for the per-packet path, which hands back
+    builtin ``int``.  All stay valid across :meth:`reset` and
+    :meth:`restore`, which write in place.
     """
 
     def __init__(self, num_workers: int, pool_size: int, elements_per_packet: int):
@@ -294,21 +304,28 @@ class SwitchSlotState:
         self.seen_bits: np.ndarray = self.seen._cells
         self.count_cells: np.ndarray = self.count._cells
         self.seen_pop = np.zeros(2 * pool_size, dtype=np.int64)
+        self.off_cells = np.full(2 * pool_size, -1, dtype=np.int64)
+        self.seen_v = memoryview(self.seen_bits)
+        self.count_v = memoryview(self.count_cells)
+        self.pop_v = memoryview(self.seen_pop)
+        self.off_v = memoryview(self.off_cells)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear every register and the popcount in place (aliases stay
-        attached)."""
+        """Clear every register, the popcount and the phase offsets in
+        place (aliases stay attached)."""
         self.registers.reset()
         self.seen_pop[:] = 0
+        self.off_cells[:] = -1
 
     def snapshot(self) -> dict:
-        """Deep copy of the register contents and popcount."""
+        """Deep copy of the register contents, popcount and offsets."""
         return {
             "pool": self.pool.snapshot(),
             "count": self.count.snapshot(),
             "seen": self.seen.snapshot(),
             "seen_pop": self.seen_pop.copy(),
+            "off": self.off_cells.copy(),
         }
 
     def restore(self, snap: dict) -> None:
@@ -318,6 +335,7 @@ class SwitchSlotState:
         self.count_cells[:] = snap["count"]
         self.seen_bits[:] = snap["seen"]
         self.seen_pop[:] = snap["seen_pop"]
+        self.off_cells[:] = snap["off"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SwitchSlotState n={self.n} s={self.s} k={self.k}>"

@@ -171,12 +171,14 @@ class SwitchMLProgram:
         self._pool = self.state.pool
         self._count = self.state.count
         self._seen = self.state.seen
-        # Direct aliases of the narrow arrays' uint8 storage, shared by
-        # the per-packet path and the batch bodies; safe because
-        # RegisterArray.reset() clears in place and never rebinds.  The
-        # arrays' `accesses` counters are batch-incremented per packet.
-        self._seen_bits: np.ndarray = self.state.seen_bits
-        self._count_cells: np.ndarray = self.state.count_cells
+        # Direct aliases of the state's storage: the ndarrays for the
+        # batch bodies and the kernel, the same-storage memoryviews
+        # (builtin ints, cheaper one-element access) for handle(); safe
+        # because the state only ever writes in place.  The arrays'
+        # `accesses` counters are batch-incremented per packet.
+        st = self.state
+        self._seen_bits, self._seen_v = st.seen_bits, st.seen_v
+        self._count_cells, self._count_v = st.count_cells, st.count_v
         self._kernel = load_switch_kernel(backend)
         # Per-(version, slot) tensor offset of the last phase opened
         # there.  Within one program's life a slot's phases carry
@@ -185,11 +187,8 @@ class SwitchMLProgram:
         # identity the discipline in handle() checks: a packet whose
         # offset predates the stored phase is a reordered late
         # retransmission and must never reopen the slot with stale
-        # data.  Switch metadata, not one of the paper's register
-        # arrays, so reads/writes are not access-counted.
-        self._off_cells = np.full(
-            2 * pool_size, -1, dtype=np.int64
-        )
+        # data.  Not access-counted (see SwitchSlotState).
+        self._off_cells, self._off_v = st.off_cells, st.off_v
         self.packets_processed = 0
         self.multicasts = 0
         self.unicast_retransmits = 0
@@ -208,7 +207,7 @@ class SwitchMLProgram:
         #: maintained per-(version, slot) popcount of the ``seen`` bitmap,
         #: updated on every bit transition so inspection is O(1) instead
         #: of an O(n) scan over the bit cells
-        self._seen_pop = self.state.seen_pop
+        self._seen_pop, self._pop_v = st.seen_pop, st.pop_v
 
         self.obs = obs if obs is not None else NULL_OBS
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -296,9 +295,9 @@ class SwitchMLProgram:
         n = self.n
         base = vs * n
         self._seen_bits[base:base + n] = 0
-        self._seen_pop[vs] = 0
-        if self._count_cells[vs] != 0:
-            self._count_cells[vs] = 0
+        self._pop_v[vs] = 0
+        if self._count_v[vs] != 0:
+            self._count_v[vs] = 0
             self.occupied_slots -= 1
         self.phase_resets += 1
 
@@ -331,8 +330,9 @@ class SwitchMLProgram:
         self.packets_processed += 1
         vs = ver * s + idx  # flat (version, slot): count index, pop index
         ovs = (1 - ver) * s + idx  # the alternate pool's copy of the slot
-        seen_bits = self._seen_bits
-        counts = self._count_cells
+        seen_bits = self._seen_v
+        counts = self._count_v
+        pop = self._pop_v
         sb = vs * n + wid
 
         # ---- phase-offset discipline (reordering robustness) ---------
@@ -348,9 +348,9 @@ class SwitchMLProgram:
         # stride by 2*s*k per slot reuse), and a smaller offset is a
         # relic of an already-recycled phase.
         off = p.off
-        stored = self._off_cells[vs]
+        stored = self._off_v[vs]
         if off != stored:
-            if counts[vs] == 0 and self._seen_pop[vs] == 0:
+            if counts[vs] == 0 and pop[vs] == 0:
                 # Fully recycled idle slot: any different offset opens a
                 # new phase.  Deliberately no ordering test here --
                 # worker offsets restart at zero when a finished program
@@ -360,7 +360,7 @@ class SwitchMLProgram:
                 # cycles of its slot to get here; if one ever does, the
                 # phantom phase it opens is repaired by the genuine
                 # opening's reset below.)
-                self._off_cells[vs] = off
+                self._off_v[vs] = off
             elif off < stored:
                 # Late retransmission of a phase the slot has recycled
                 # past, caught mid-phase or mid-recycling.  The worker's
@@ -372,7 +372,7 @@ class SwitchMLProgram:
                     self._tracer.emit(
                         "phase.stale", self._clock(), cat="slot",
                         actor="switch", slot=idx, ver=ver, wid=wid,
-                        off=off, phase_off=int(stored),
+                        off=off, phase_off=stored,
                     )
                 return _DROP
             elif counts[vs] == 0:
@@ -406,8 +406,8 @@ class SwitchMLProgram:
                 # stale reordered traffic poisoned the slot -- wipe it
                 # so the genuine phase opens clean.
                 self._reset_phase(vs)
-            self._off_cells[vs] = off
-        elif counts[vs] == 0 and self._seen_pop[vs] != 0:
+            self._off_v[vs] = off
+        elif counts[vs] == 0 and pop[vs] != 0:
             # The stored phase itself, already complete with its shadow
             # copy still live: the sender missed the result (perhaps so
             # long ago that its own seen bit was recycled by the
@@ -440,7 +440,7 @@ class SwitchMLProgram:
         if seen_bits[sb] == 0:
             # First time this worker's contribution reaches this
             # (version, slot): apply it.
-            count_before = int(counts[vs])
+            count_before = counts[vs]
             if self.check_invariants and count_before == 0:
                 # This packet opens a new phase for the slot; legal only
                 # if the shadow copy's aggregation completed (count == 0).
@@ -451,7 +451,6 @@ class SwitchMLProgram:
                         f"reused while ver {1 - ver} still aggregating "
                         f"(count={other_count})"
                     )
-            pop = self._seen_pop
             seen_bits[sb] = 1
             pop[vs] += 1
             ob = ovs * n + wid
@@ -968,7 +967,7 @@ class SwitchMLProgram:
     def seen_popcount(self, ver: int, idx: int) -> int:
         """Number of set ``seen`` bits for ``(ver, idx)`` -- O(1) from the
         maintained counter, not an O(n) scan of the bit cells."""
-        return int(self._seen_pop[ver * self.s + idx])
+        return self._pop_v[ver * self.s + idx]
 
     def slot_state(self, ver: int, idx: int) -> dict:
         """Debug/test view of one (version, slot)."""

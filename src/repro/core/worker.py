@@ -199,13 +199,8 @@ class SwitchMLWorker:
         self._trace_packets = not self._coalesce
         #: the data-oriented core: pool-wide per-slot state as NumPy
         #: arrays (this class is the per-event adapter over it).  The
-        #: ``_slot_*`` attributes below alias its arrays.
+        #: ``_slot_*`` attributes alias its scalar views (_bind_slot_views).
         self._st = WorkerSlotState(pool_size)
-        # per-slot exponential backoff on consecutive timeouts (resets on
-        # a received result) -- keeps a sudden RTT increase (congestion)
-        # from degenerating into a retransmission storm.  Persists across
-        # aggregations (like _next_ver).
-        self._slot_backoff = self._st.backoff
         self._arm_counter = 0
         # Zero-copy hot path: when enabled, each slot's update packet and
         # TX frame are allocated once per aggregation and mutated in
@@ -259,27 +254,12 @@ class SwitchMLWorker:
         self._active = False
         self._base_off = 0
         self._active_slots = 0
-        # per-slot protocol state: aliases of the SoA core's arrays (the
-        # object-reference columns -- packet, timer, reuse buffers --
-        # stay Python lists; everything numeric is an array)
-        self._slot_off = self._st.off
-        self._slot_ver = self._st.ver
-        self._slot_sent_at = self._st.sent_at
-        self._slot_retransmitted = self._st.retransmitted
-        self._slot_retries = self._st.retries
-        # the window path mirrors "chunk in flight" into the SoA bool
-        # column so the batch RX body can mask whole-batch instead of
-        # touching the _slot_packet object column per frame
-        self._slot_outstanding = self._st.outstanding
+        # per-slot protocol state: the numeric columns live in the SoA
+        # core; the object-reference columns -- packet, timer, reuse
+        # buffers -- stay Python lists
+        self._bind_slot_views()
         self._slot_packet: list[SwitchMLPacket | None] = []
         self._slot_timer: list[Event | None] = []
-        # Pool versions persist ACROSS tensors: the implementation treats
-        # consecutive tensors "as a single, continuous stream of data
-        # across iterations" (Appendix B), so each slot's version keeps
-        # alternating from one aggregation to the next.  Resetting to 0
-        # would collide with the switch's still-set ``seen`` bits from a
-        # previous tensor whose last phase used version 0.
-        self._next_ver = self._st.next_ver
 
     # ------------------------------------------------------------------
     # Starting an aggregation
@@ -331,24 +311,43 @@ class SwitchMLWorker:
 
         if self._coalesce and active_slots > 1:
             self._send_chunks(
-                [(i, int(self._next_ver[i]), self.k * i) for i in range(active_slots)]
+                [(i, self._next_ver[i], self.k * i) for i in range(active_slots)]
             )
         else:
             for i in range(active_slots):
-                self._send_chunk(idx=i, ver=int(self._next_ver[i]), off=self.k * i)
+                self._send_chunk(idx=i, ver=self._next_ver[i], off=self.k * i)
+
+    def _bind_slot_views(self) -> None:
+        """Alias the SoA core's scalar views -- same storage as its
+        arrays, builtin values out -- for the one-slot-at-a-time code;
+        the whole-batch bodies index ``self._st``'s ndarrays."""
+        st = self._st
+        self._slot_off = st.off_v
+        self._slot_ver = st.ver_v
+        self._slot_sent_at = st.sent_at_v
+        self._slot_retransmitted = st.retransmitted_v
+        self._slot_retries = st.retries_v
+        # the window path mirrors "chunk in flight" into the SoA bool
+        # column so the batch RX body can mask whole-batch instead of
+        # touching the _slot_packet object column per frame
+        self._slot_outstanding = st.outstanding_v
+        # per-slot exponential backoff on consecutive timeouts (resets on
+        # a received result) -- keeps a sudden RTT increase (congestion)
+        # from degenerating into a retransmission storm.  Persists across
+        # aggregations, as do the pool versions: consecutive tensors form
+        # "a single, continuous stream of data across iterations"
+        # (Appendix B), and resetting to 0 would collide with the
+        # switch's still-set ``seen`` bits from a previous tensor whose
+        # last phase used version 0.
+        self._slot_backoff = st.backoff_v
+        self._next_ver = st.next_ver_v
 
     def _reset_slot_state(self) -> None:
         """Per-aggregation reset: clear the SoA core in place, rebind the
-        array aliases (tests may have rebound them), and reallocate the
+        view aliases (tests may have rebound them), and reallocate the
         object-reference columns."""
-        st = self._st
-        st.begin(start_time=self.sim.now)
-        self._slot_off = st.off
-        self._slot_ver = st.ver
-        self._slot_sent_at = st.sent_at
-        self._slot_retransmitted = st.retransmitted
-        self._slot_retries = st.retries
-        self._slot_outstanding = st.outstanding
+        self._st.begin(start_time=self.sim.now)
+        self._bind_slot_views()
         self._slot_packet = [None] * self.s
         self._slot_timer = [None] * self.s
         # reusable buffers are per-aggregation: wid/epoch/addressing may
@@ -441,14 +440,8 @@ class SwitchMLWorker:
         k = self.k
         slot_buf = self._slot_buf
         slot_frame = self._slot_frame
-        slot_off = self._slot_off
-        slot_ver = self._slot_ver
-        next_ver = self._next_ver
         slot_packet = self._slot_packet
-        slot_outstanding = self._slot_outstanding
-        slot_sent_at = self._slot_sent_at
-        slot_retransmitted = self._slot_retransmitted
-        slot_retries = self._slot_retries
+        st = self._st
         n = len(items)
         frames: list[Frame | None] = [None] * n
         fresh_pos: list[int] = []
@@ -479,13 +472,13 @@ class SwitchMLWorker:
         # distinct within a train, so store order is unobservable)
         idx_a = np.fromiter((it[0] for it in items), dtype=np.int64, count=n)
         ver_a = np.fromiter((it[1] for it in items), dtype=np.int64, count=n)
-        slot_off[idx_a] = np.fromiter((it[2] for it in items), dtype=np.int64, count=n)
-        slot_ver[idx_a] = ver_a
-        next_ver[idx_a] = 1 - ver_a
-        slot_outstanding[idx_a] = True
-        slot_sent_at[idx_a] = now
-        slot_retransmitted[idx_a] = False
-        slot_retries[idx_a] = 0
+        st.off[idx_a] = np.fromiter((it[2] for it in items), dtype=np.int64, count=n)
+        st.ver[idx_a] = ver_a
+        st.next_ver[idx_a] = 1 - ver_a
+        st.outstanding[idx_a] = True
+        st.sent_at[idx_a] = now
+        st.retransmitted[idx_a] = False
+        st.retries[idx_a] = 0
         if fresh_packets:
             built = to_frames(
                 fresh_packets,
@@ -574,12 +567,12 @@ class SwitchMLWorker:
             base = self.timeout_s
         else:
             base = self.current_timeout()
-        duration = base * st.backoff[idx]
+        duration = base * st.backoff_v[idx]
         if duration > self.max_timeout_s:
             duration = self.max_timeout_s
         d = self.sim.now + duration
-        st.deadline[idx] = d
-        st.arm_seq[idx] = self._arm_counter
+        st.deadline_v[idx] = d
+        st.arm_seq_v[idx] = self._arm_counter
         self._arm_counter += 1
         if d < self._deadline_armed_at:
             self._rearm_singleton(d)
@@ -606,9 +599,8 @@ class SwitchMLWorker:
         fired = 0
         due = st.due(now)
         if due.size:
-            deadline = st.deadline
-            for idx in due:
-                i = int(idx)
+            deadline = st.deadline_v
+            for i in due.tolist():
                 deadline[i] = _INF
                 self._on_timeout(i)
                 fired += 1
@@ -753,16 +745,8 @@ class SwitchMLWorker:
             self.s = pool_size
             # fresh pool geometry: a fresh SoA core (backoff and versions
             # restart too -- the switch's registers were reinstalled)
-            st = WorkerSlotState(pool_size)
-            self._st = st
-            self._slot_backoff = st.backoff
-            self._next_ver = st.next_ver
-            self._slot_off = st.off
-            self._slot_ver = st.ver
-            self._slot_sent_at = st.sent_at
-            self._slot_retransmitted = st.retransmitted
-            self._slot_retries = st.retries
-            self._slot_outstanding = st.outstanding
+            self._st = WorkerSlotState(pool_size)
+            self._bind_slot_views()
 
     def _cancel_all_timers(self) -> None:
         for idx in range(len(self._slot_timer)):
@@ -837,7 +821,7 @@ class SwitchMLWorker:
                 nxt = self._slot_off[idx] + stride
                 low = nxt if nxt < self._size else self._size
             lowest_unreceived = min(lowest_unreceived, low)
-        return int(lowest_unreceived)
+        return lowest_unreceived
 
     def restart_from(
         self, offset_elements: int, reset_versions: bool = False
@@ -877,7 +861,7 @@ class SwitchMLWorker:
         self._remaining = total_packets
         self._reset_slot_state()
         if reset_versions:
-            self._next_ver[:] = 0
+            self._st.next_ver[:] = 0
         self.failed = False
         self.crashed = False
         self._base_off = offset_elements
@@ -889,14 +873,14 @@ class SwitchMLWorker:
         if self._coalesce and active_slots > 1:
             self._send_chunks(
                 [
-                    (i, int(self._next_ver[i]), offset_elements + self.k * i)
+                    (i, self._next_ver[i], offset_elements + self.k * i)
                     for i in range(active_slots)
                 ]
             )
         else:
             for i in range(active_slots):
                 self._send_chunk(
-                    idx=i, ver=int(self._next_ver[i]), off=offset_elements + self.k * i
+                    idx=i, ver=self._next_ver[i], off=offset_elements + self.k * i
                 )
 
     # ------------------------------------------------------------------
@@ -1131,8 +1115,9 @@ class SwitchMLWorker:
             stats.stale_results_ignored += 1
             return
 
+        st = self._st
         if self._coalesce:
-            self._st.deadline[idx] = _INF
+            st.deadline_v[idx] = _INF
         timer = self._slot_timer[idx]
         if timer is not None:
             timer.cancel()
@@ -1155,9 +1140,8 @@ class SwitchMLWorker:
             # lets a low-biased SRTT re-trigger the same spurious
             # timeout forever).  _observe_rtt's body, inlined: this runs
             # once per in-order result.
-            st = self._st
-            st.rtt_sum[idx] += rtt_sample
-            st.rtt_count[idx] += 1
+            st.rtt_sum_v[idx] += rtt_sample
+            st.rtt_count_v[idx] += 1
             srtt = self._srtt
             if srtt is None:
                 self._srtt = rtt_sample

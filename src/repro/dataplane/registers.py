@@ -155,8 +155,9 @@ class RegisterArray:
 
     def write_range(self, start: int, stop: int, values: np.ndarray) -> None:
         self.accesses += 1
-        # astype to the cell dtype wraps exactly like the ALU.
-        self._cells[start:stop] = values.astype(self._cells.dtype, copy=False)
+        # array assignment casts to the cell dtype, which wraps exactly
+        # like the ALU (and like the astype() temporary it replaces)
+        self._cells[start:stop] = values
 
     def fill_range(self, start: int, stop: int, value: int = 0) -> None:
         """Constant-fill ``[start, stop)`` without allocating a source

@@ -36,6 +36,9 @@ __all__ = [
     "SpineDataplane",
 ]
 
+#: the chassis' shared drop decision, resolved once (process() runs per frame)
+_PORT_DROP = PortDecision.drop()
+
 #: a link heartbeat carries leaf id, spine id, direction, and a sequence
 #: number (4 + 4 + 1 + 4 bytes of payload, padded)
 LINK_HEARTBEAT_WIRE_BYTES = ETHERNET_OVERHEAD_BYTES + 16
@@ -123,19 +126,19 @@ class LeafDataplane:
             if not frame.corrupted:
                 self.heartbeats_punted += 1
                 self.punt(message)
-            return PortDecision.drop()
+            return _PORT_DROP
         if isinstance(message, Heartbeat):
             # worker beacons terminate here; fabric liveness is per-trunk
             self.worker_heartbeats_dropped += 1
-            return PortDecision.drop()
+            return _PORT_DROP
         if not isinstance(message, SwitchMLPacket):
-            return PortDecision.drop()
+            return _PORT_DROP
 
         if in_port >= self.num_children:
             # From a spine: a completed aggregate for the rack.
             decision = self.program.handle_result(message)
             if decision.action is not SwitchAction.MULTICAST:
-                return PortDecision.drop()
+                return _PORT_DROP
             assert decision.packet is not None
             if self._m_on:
                 key = (message.ver, message.idx)
@@ -156,9 +159,10 @@ class LeafDataplane:
             )
 
         # From a worker.
-        key = (message.ver, message.idx)
-        if self._m_on and message.epoch == self.program.epoch:
-            self._t_first.setdefault(key, self._clock())
+        if self._m_on:
+            key = (message.ver, message.idx)
+            if message.epoch == self.program.epoch:
+                self._t_first.setdefault(key, self._clock())
         decision = self.program.handle_child(message)
         if decision.action is SwitchAction.MULTICAST:
             # forward the partial up the active trunk
@@ -184,7 +188,7 @@ class LeafDataplane:
                 self.bytes_per_element,
             )
             return PortDecision(deliveries=[(decision.unicast_wid, out)])
-        return PortDecision.drop()
+        return _PORT_DROP
 
 
 class SpineDataplane:
@@ -217,15 +221,15 @@ class SpineDataplane:
             if not frame.corrupted:
                 self.heartbeats_punted += 1
                 self.punt(message)
-            return PortDecision.drop()
+            return _PORT_DROP
         if not isinstance(message, SwitchMLPacket) or message.from_switch:
-            return PortDecision.drop()
+            return _PORT_DROP
         if self.program is None:
             self.standby_drops += 1
-            return PortDecision.drop()
+            return _PORT_DROP
         decision = self.program.handle(message)
         if decision.action is SwitchAction.DROP:
-            return PortDecision.drop()
+            return _PORT_DROP
         assert decision.packet is not None
         if decision.action is SwitchAction.UNICAST:
             leaf = decision.unicast_wid

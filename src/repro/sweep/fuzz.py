@@ -301,7 +301,7 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
             "completed": bool(res.completed),
             "retransmissions": int(res.retransmissions),
             "frames_lost": int(res.frames_lost),
-            "max_tat_s": float(res.max_tat) if res.completed else None,
+            "max_tat_s": res.max_tat if res.completed else None,
             "backend": getattr(job.program, "backend", "numpy"),
         },
     }
@@ -355,7 +355,7 @@ def _run_rack(draw: dict[str, Any]) -> dict[str, Any]:
             "epoch": int(res.epoch),
             "recoveries": len(res.recoveries),
             "stale_epoch_drops": int(res.stale_epoch_drops),
-            "elapsed_s": float(res.elapsed_s),
+            "elapsed_s": res.elapsed_s,
         },
     }
 
@@ -437,7 +437,7 @@ def _run_fabric(draw: dict[str, Any]) -> dict[str, Any]:
             "reroutes": len(res.reroutes),
             "stale_epoch_drops": int(res.stale_epoch_drops),
             "retransmissions": int(res.retransmissions),
-            "elapsed_s": float(res.elapsed_s),
+            "elapsed_s": res.elapsed_s,
         },
     }
 

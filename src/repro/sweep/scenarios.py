@@ -62,7 +62,7 @@ def protocol_fingerprint(result: Any) -> dict[str, Any]:
     first = next((r for r in result.results if r is not None), None)
     return {
         "completed": bool(result.completed),
-        "tats": [float(t) for t in result.tats],
+        "tats": result.tats,
         "packets_sent": [int(s.packets_sent) for s in result.worker_stats],
         "retransmissions": [
             int(s.retransmissions) for s in result.worker_stats
@@ -117,7 +117,7 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "fingerprint": protocol_fingerprint(res),
         "sim_events": int(res.sim_events),
         "retransmissions": int(res.retransmissions),
-        "max_tat_s": float(res.max_tat),
+        "max_tat_s": res.max_tat,
         "backend": getattr(job.program, "backend", "numpy"),
     }
 
@@ -179,7 +179,7 @@ def _scenario_rack_faults(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "epoch": int(res.epoch),
         "recoveries": len(res.recoveries),
         "stale_epoch_drops": int(res.stale_epoch_drops),
-        "elapsed_s": float(res.elapsed_s),
+        "elapsed_s": res.elapsed_s,
         "result_sha": _sha(expected) if exact else None,
     }
 
@@ -229,7 +229,7 @@ def _scenario_fabric(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "reroutes": len(res.reroutes),
         "stale_epoch_drops": int(res.stale_epoch_drops),
         "retransmissions": int(res.retransmissions),
-        "elapsed_s": float(res.elapsed_s),
+        "elapsed_s": res.elapsed_s,
         "result_sha": _sha(expected) if exact else None,
     }
 

@@ -44,10 +44,8 @@ class TestWorkerSlotState:
         st = WorkerSlotState(4)
         for name in WorkerSlotState.ARRAY_FIELDS:
             assert isinstance(getattr(st, name), np.ndarray), name
-        # every per-slot field is a NumPy array now (the batch bodies
-        # read and write them whole-batch); LIST_FIELDS survives only
-        # as an empty compatibility tuple
-        assert WorkerSlotState.LIST_FIELDS == ()
+            # ... with a same-storage scalar view beside it
+            assert getattr(st, name + "_v").obj is getattr(st, name), name
         for name in WorkerSlotState.SCALAR_FIELDS:
             assert isinstance(getattr(st, name), float), name
 

@@ -19,6 +19,12 @@ Two keys differ by design and are compared separately:
 Regenerate (only ever from a commit whose output is the reference)::
 
     PYTHONPATH=<that commit>/src python tests/obs/test_golden_digest.py
+
+The ``series`` hashes are over builtin values: the reference commit held
+some bucket fields as ``np.float64`` (a retransmission deadline leaking
+onto the simulated clock), whose ``repr`` is not the value's.  They were
+regenerated, alone, from that same commit with the canonicalising hash
+below; every other key is byte-identical to the first generation.
 """
 
 import hashlib
@@ -96,8 +102,21 @@ CONFIGS = {
 }
 
 
+def _builtin(v):
+    """``repr`` of a NumPy scalar names its type (and, since NumPy 2,
+    differs from the builtin's): hash the value, not how it is held."""
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
 def _series_hash(series):
-    rows = [[getattr(b, f) for f in type(b).__slots__] for b in series.intervals()]
+    rows = [
+        [_builtin(getattr(b, f)) for f in type(b).__slots__]
+        for b in series.intervals()
+    ]
     return hashlib.sha256(repr((rows, series.late_drops)).encode()).hexdigest()[:16]
 
 
