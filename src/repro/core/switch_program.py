@@ -642,18 +642,18 @@ class SwitchMLProgram:
         openingish = (self._seen_bits[vs_a * n + wid_a] == 0) & (
             self._count_cells[vs_a] == 0
         )
-        suspect = bool(
+        suspect = np.count_nonzero(
             np.where(
                 openingish,
                 (off_a <= stored) | (self._seen_pop[vs_a] != 0),
                 off_a != stored,
-            ).any()
+            )
         )
         if not suspect:
-            order = np.argsort(vs_a, kind="stable")
+            order = vs_a.argsort(kind="stable")
             sv = vs_a[order]
             so = off_a[order]
-            suspect = bool(((sv[1:] == sv[:-1]) & (so[1:] != so[:-1])).any())
+            suspect = np.count_nonzero((sv[1:] == sv[:-1]) & (so[1:] != so[:-1]))
         if not suspect:
             # Same (slot, worker) under both pool versions in one drain:
             # an absorb into one version clears the pair's alternate-
@@ -663,11 +663,11 @@ class SwitchMLProgram:
             # only sees pre-batch state, so divert these to the
             # per-packet path (which answers from the shadow copy).
             sw = (vs_a % s) * n + wid_a
-            o2 = np.argsort(sw, kind="stable")
+            o2 = sw.argsort(kind="stable")
             same = sw[o2][1:] == sw[o2][:-1]
-            if same.any():
+            if np.count_nonzero(same):
                 sver = vs_a[o2] >= s
-                suspect = bool((same & (sver[1:] != sver[:-1])).any())
+                suspect = np.count_nonzero(same & (sver[1:] != sver[:-1]))
         if suspect:
             out = []
             handle = self.handle
@@ -719,10 +719,10 @@ class SwitchMLProgram:
         slot_a = vs_a % s
         bad_pkt = ~first
         sw = slot_a * n + wid_a
-        order = np.argsort(sw, kind="stable")
+        order = sw.argsort(kind="stable")
         ssw = sw[order]
         dup = ssw[1:] == ssw[:-1]
-        if dup.any():
+        if np.count_nonzero(dup):
             bad_pkt[order[1:][dup]] = True
             bad_pkt[order[:-1][dup]] = True
         slot_bad = np.bincount(slot_a, weights=bad_pkt, minlength=s) > 0
@@ -731,13 +731,13 @@ class SwitchMLProgram:
         # n mid-group -- a multicast plus a new phase opening inside
         # one group, sequential-only semantics
         over = counts[uvs].astype(np.int64) + gcnt > n
-        if over.any():
+        if np.count_nonzero(over):
             slot_bad[uvs[over] % s] = True
         clean = ~slot_bad[slot_a]
         g_clean = ~slot_bad[uvs % s]
 
         out: list[tuple[int, SwitchDecision]] = []
-        cl_idx = np.nonzero(clean)[0]
+        cl_idx = clean.nonzero()[0]
         if cl_idx.size:
             c_vs = vs_a[cl_idx]
             c_wid = wid_a[cl_idx]
@@ -750,7 +750,7 @@ class SwitchMLProgram:
             # messy slots' bookkeeping happens inside handle()); offsets
             # are uniform per group, so any packet's value serves
             g_opens = count_before == 0
-            if g_opens.any():
+            if np.count_nonzero(g_opens):
                 g_off = np.empty(uvs.size, dtype=np.int64)
                 g_off[inv] = off_a
                 self._off_cells[g_vs[g_opens]] = g_off[g_clean][g_opens]
@@ -795,7 +795,7 @@ class SwitchMLProgram:
                 opening = g_vs[count_before == 0]
                 if opening.size:
                     pool2[opening] = 0
-                vecs = np.stack([pks[i].vector for i in cl_idx])
+                vecs = np.array([pks[i].vector for i in cl_idx.tolist()])
                 np.add.at(pool2, c_vs, vecs.astype(np.int32))
                 self._pool.accesses += g_vs.size
 
@@ -804,7 +804,7 @@ class SwitchMLProgram:
                 # the multicast anchors to its position
                 last = np.zeros(uvs.size, dtype=np.int64)
                 np.maximum.at(last, inv[cl_idx], cl_idx)
-                for g in np.nonzero(g_clean)[0][wrapped]:
+                for g in g_clean.nonzero()[0][wrapped].tolist():
                     i_last = int(last[g])
                     p_last = pks[i_last]
                     vector = None
@@ -823,10 +823,10 @@ class SwitchMLProgram:
             # order.  Safe after the clean absorb because messy and
             # clean groups touch disjoint bits/counters (see the
             # equivalence argument in handle_batch).
-            for i in np.nonzero(~clean)[0]:
+            for i in (~clean).nonzero()[0].tolist():
                 d = self.handle(pks[i])
                 if d.action is not SwitchAction.DROP:
-                    out.append((int(i), d))
+                    out.append((i, d))
 
         if len(out) > 1:
             out.sort(key=lambda e: e[0])
@@ -887,7 +887,7 @@ class SwitchMLProgram:
         mc_vecs: dict[int, np.ndarray] = {}
         if has_vec:
             pool2 = self._pool._cells.reshape(2 * s, k)
-            shadow_idx = np.nonzero(shadow)[0]
+            shadow_idx = shadow.nonzero()[0]
             reset_mask = resets != 0
             opening = np.unique(vs_a[reset_mask]) if claims else vs_a[:0]
             # Rare races needing packet-order replay: a shadow read of
@@ -901,20 +901,20 @@ class SwitchMLProgram:
             # later one would be a reset, caught by `overlap`) -- the
             # post-add row is exactly what sequential execution reads.
             overlap = opening.size and (
-                (shadow_idx.size and bool(np.isin(vs_a[shadow_idx], opening).any()))
-                or (n_comp and bool(np.isin(vs_a[completes], opening).any()))
+                (shadow_idx.size and np.count_nonzero(np.isin(vs_a[shadow_idx], opening)))
+                or (n_comp and np.count_nonzero(np.isin(vs_a[completes], opening)))
             )
             if not overlap:
                 if opening.size:
                     pool2[opening] = 0
-                ab_idx = np.nonzero(absorbed)[0]
+                ab_idx = absorbed.nonzero()[0]
                 if ab_idx.size:
-                    vecs = np.stack([pks[i].vector for i in ab_idx])
+                    vecs = np.array([pks[i].vector for i in ab_idx.tolist()])
                     np.add.at(pool2, vs_a[ab_idx], vecs.astype(np.int32))
                     self._pool.accesses += int(np.unique(vs_a[ab_idx]).size)
-                for i in shadow_idx:
+                for i in shadow_idx.tolist():
                     lo = int(vs_a[i]) * k
-                    shadow_vecs[int(i)] = self._pool.read_range(lo, lo + k)
+                    shadow_vecs[i] = self._pool.read_range(lo, lo + k)
             else:
                 for i in range(m):
                     lo = int(vs_a[i]) * k
@@ -932,8 +932,7 @@ class SwitchMLProgram:
 
         out: list[SwitchDecision] = []
         if n_comp or n_shadow:
-            for i in np.nonzero(completes | shadow)[0]:
-                i = int(i)
+            for i in (completes | shadow).nonzero()[0].tolist():
                 p = pks[i]
                 if completes[i]:
                     vector = mc_vecs.get(i)

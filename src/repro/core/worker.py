@@ -104,8 +104,9 @@ class SwitchMLWorker:
         one singleton timer covers the pool's earliest deadline.
     """
 
-    #: smallest RX group the vectorized batch body pays for itself on;
-    #: smaller groups replay the per-result loop (same semantics)
+    #: smallest RX group the vectorized batch body takes; smaller groups
+    #: replay the per-result loop (same sums, not the same schedule: see
+    #: on_frames)
     _RX_BATCH_MIN = 8
 
     def __init__(
@@ -310,9 +311,8 @@ class SwitchMLWorker:
         self.stats = WorkerStats(start_time=self.sim.now)
 
         if self._coalesce and active_slots > 1:
-            self._send_chunks(
-                [(i, self._next_ver[i], self.k * i) for i in range(active_slots)]
-            )
+            idx = np.arange(active_slots)
+            self._send_chunks(idx, self._st.next_ver[idx], self.k * idx)
         else:
             for i in range(active_slots):
                 self._send_chunk(idx=i, ver=self._next_ver[i], off=self.k * i)
@@ -422,15 +422,17 @@ class SwitchMLWorker:
             self._arm_timer(idx)
 
     def _send_chunks(
-        self, items: list[tuple[int, int, int]], arm: bool = True
+        self, idx_a: np.ndarray, ver_a: np.ndarray, off_a: np.ndarray,
+        arm: bool = True,
     ) -> None:
         """Batched :meth:`_send_chunk` over a slot group (window path).
 
-        ``items`` is ``[(idx, ver, off), ...]`` in slot order.  Per-slot
-        bookkeeping replicates :meth:`_send_chunk` exactly; the fresh
-        frames are built in one :func:`to_frames` call and the whole
-        group leaves through :meth:`Host.send_train`, after which the
-        deadlines are armed in slot order.
+        ``idx_a`` / ``ver_a`` / ``off_a`` are integer arrays, one entry
+        per chunk in send order.  Per-slot bookkeeping replicates
+        :meth:`_send_chunk` exactly; the fresh frames are built in one
+        :func:`to_frames` call and the whole group leaves through
+        :meth:`Host.send_train`, after which the deadlines are armed in
+        send order.
         """
         now = self.sim.now
         host = self.host
@@ -442,11 +444,14 @@ class SwitchMLWorker:
         slot_frame = self._slot_frame
         slot_packet = self._slot_packet
         st = self._st
-        n = len(items)
+        idx_l = idx_a.tolist()
+        n = len(idx_l)
         frames: list[Frame | None] = [None] * n
         fresh_pos: list[int] = []
         fresh_packets: list[SwitchMLPacket] = []
-        for pos, (idx, ver, off) in enumerate(items):
+        for pos, (idx, ver, off) in enumerate(
+            zip(idx_l, ver_a.tolist(), off_a.tolist())
+        ):
             if reuse and (packet := slot_buf[idx]) is not None:
                 packet.ver = ver
                 packet.off = off
@@ -470,9 +475,7 @@ class SwitchMLWorker:
             slot_packet[idx] = packet
         # SoA bookkeeping in one fancy-indexed pass per array (slots are
         # distinct within a train, so store order is unobservable)
-        idx_a = np.fromiter((it[0] for it in items), dtype=np.int64, count=n)
-        ver_a = np.fromiter((it[1] for it in items), dtype=np.int64, count=n)
-        st.off[idx_a] = np.fromiter((it[2] for it in items), dtype=np.int64, count=n)
+        st.off[idx_a] = off_a
         st.ver[idx_a] = ver_a
         st.next_ver[idx_a] = 1 - ver_a
         st.outstanding[idx_a] = True
@@ -489,7 +492,7 @@ class SwitchMLWorker:
             for i, pos in enumerate(fresh_pos):
                 frames[pos] = built[i]
                 if reuse:
-                    idx = items[pos][0]
+                    idx = idx_l[pos]
                     slot_buf[idx] = fresh_packets[i]
                     slot_frame[idx] = built[i]
         self.stats.packets_sent += n
@@ -500,7 +503,7 @@ class SwitchMLWorker:
         host.send_train(frames)
         if arm:
             arm_deadline = self._arm_deadline
-            for idx, _ver, _off in items:
+            for idx in idx_l:
                 arm_deadline(idx)
 
     def current_timeout(self) -> float:
@@ -871,11 +874,9 @@ class SwitchMLWorker:
             self._finish()
             return
         if self._coalesce and active_slots > 1:
+            idx = np.arange(active_slots)
             self._send_chunks(
-                [
-                    (i, self._next_ver[i], offset_elements + self.k * i)
-                    for i in range(active_slots)
-                ]
+                idx, self._st.next_ver[idx], offset_elements + self.k * idx
             )
         else:
             for i in range(active_slots):
@@ -900,12 +901,15 @@ class SwitchMLWorker:
         """Window-path RX entry: one call per group of frames the host
         dispatched in the same drain window, in arrival order.
 
-        Large groups go through the vectorized batch body
-        (:meth:`_on_results_batch`); small ones (and the cases the batch
-        body excludes) replay the per-result path, whose semantics are
-        the reference -- below ``_RX_BATCH_MIN`` results the array
-        setup costs more than the loop it replaces.  The trace record
-        is one per-burst aggregate instead of per-packet events."""
+        Groups of ``_RX_BATCH_MIN`` or more results go through the
+        vectorized batch body (:meth:`_on_results_batch`), whose next
+        chunks leave as one :meth:`Host.send_train`; smaller groups (and
+        the cases the batch body excludes) replay :meth:`_on_result`,
+        which sends each next chunk through :meth:`Host.send`.  Both
+        give exact sums, but the two send forms are scheduled
+        differently, so the threshold is part of the window path's
+        schedule, not only a speed setting.  The trace record is one
+        per-burst aggregate instead of per-packet events."""
         stats = self.stats
         results: list[SwitchMLPacket] = []
         for frame in frames:
@@ -951,12 +955,13 @@ class SwitchMLWorker:
         st = self._st
         m = len(pkts)
         epoch = self.epoch
-        idx_a = np.fromiter((p.idx for p in pkts), dtype=np.int64, count=m)
-        off_a = np.fromiter((p.off for p in pkts), dtype=np.int64, count=m)
-        ver_a = np.fromiter((p.ver for p in pkts), dtype=np.int64, count=m)
+        idx_a = np.array([p.idx for p in pkts], dtype=np.int64)
+        off_a = np.array([p.off for p in pkts], dtype=np.int64)
+        ver_a = np.array([p.ver for p in pkts], dtype=np.int64)
         # stale filtering: epoch first (a stale-epoch idx may be out of
         # range for this pool geometry), then the outstanding-phase match
-        if all(p.epoch == epoch for p in pkts):
+        epochs = [p.epoch for p in pkts]
+        if epochs.count(epoch) == m:
             valid = (
                 st.outstanding[idx_a]
                 & (off_a == st.off[idx_a])
@@ -964,8 +969,7 @@ class SwitchMLWorker:
             )
         else:
             valid = np.zeros(m, dtype=bool)
-            ok = np.fromiter((p.epoch == epoch for p in pkts), dtype=bool, count=m)
-            ok_i = np.nonzero(ok)[0]
+            ok_i = (np.array(epochs) == epoch).nonzero()[0]
             if ok_i.size:
                 ia = idx_a[ok_i]
                 valid[ok_i] = (
@@ -973,7 +977,7 @@ class SwitchMLWorker:
                     & (off_a[ok_i] == st.off[ia])
                     & (ver_a[ok_i] == st.ver[ia])
                 )
-        acc = np.nonzero(valid)[0]
+        acc = valid.nonzero()[0]
         if acc.size > 1:
             # intra-batch duplicates for one slot (multicast racing a
             # unicast shadow read): first occurrence wins, the rest are
@@ -1011,7 +1015,7 @@ class SwitchMLWorker:
         # accumulators and clear the backoff; the scalar EWMA stays a
         # loop in arrival order (its fixed point depends on sample order)
         unamb = ~st.retransmitted[si]
-        if unamb.any():
+        if np.count_nonzero(unamb):
             u_si = si[unamb]
             u_samples = samples[unamb]
             st.rtt_sum[u_si] += u_samples
@@ -1037,7 +1041,7 @@ class SwitchMLWorker:
         if not self._phantom:
             result = self._result
             k = self.k
-            for j in acc:
+            for j in acc.tolist():
                 p = pkts[j]
                 if p.vector is not None:
                     result[p.off : p.off + k] = p.vector
@@ -1052,29 +1056,25 @@ class SwitchMLWorker:
         # accepted result either advances its slot or retires it --
         # _finish() can never trigger here.
         next_off = off_a[acc] + self.k * self.s
-        send = next_off < self._size
-        if not send.any():
+        send_pos = (next_off < self._size).nonzero()[0]
+        if not send_pos.size:
             return
-        send_pos = np.nonzero(send)[0]
         # batch timer math: send the frames without arming, then compute
         # every deadline in one vector op and re-arm the singleton once
+        sent_slots = si[send_pos]
         if send_pos.size > 1:
             self._send_chunks(
-                [
-                    (int(si[j]), 1 - int(ver_a[acc[j]]), int(next_off[j]))
-                    for j in send_pos
-                ],
+                sent_slots, 1 - ver_a[acc[send_pos]], next_off[send_pos],
                 arm=False,
             )
         else:
-            j = send_pos[0]
+            j = int(send_pos[0])
             self._send_chunk(
                 idx=int(si[j]),
                 ver=1 - int(ver_a[acc[j]]),
                 off=int(next_off[j]),
                 arm=False,
             )
-        sent_slots = si[send_pos]
         dur = self.timeout_s * st.backoff[sent_slots]
         np.minimum(dur, self.max_timeout_s, out=dur)
         deadlines = now + dur

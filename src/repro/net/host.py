@@ -23,18 +23,14 @@ Default per-frame costs are 40 ns on each of the RX and TX paths.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Protocol
 
-from repro.net.link import Link
+from repro.net.link import Link, _submit_key
 from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 from repro.sim.resources import SerialResource
 
 __all__ = ["Host", "HostSpec", "HostAgent"]
-
-#: sort key for (time, frame) pairs (stable: ties keep their order)
-_submit_key = itemgetter(0)
 
 
 @dataclass

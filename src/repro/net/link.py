@@ -12,6 +12,7 @@ behaves on a real wire and matters for TAT-inflation measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -21,6 +22,9 @@ from repro.net.packet import Frame
 from repro.sim.engine import Simulator
 
 __all__ = ["Link", "LinkSpec", "LinkStats"]
+
+#: sort key for (time, frame) pairs (stable: ties keep their order)
+_submit_key = itemgetter(0)
 
 #: block size of the inlined Bernoulli draw buffer; must match
 #: BernoulliLoss._BLOCK so draw alignment survives path rebinds
@@ -669,7 +673,7 @@ class Link:
         """
         if pairs is self._arrive_group:
             self._arrive_group = None
-        pairs.sort(key=lambda p: p[0])
+        pairs.sort(key=_submit_key)
         stats = self.stats
         stats.frames_delivered += len(pairs)
         observer = self.observer

@@ -24,18 +24,13 @@ through named substreams derived from the simulator's root seed.
 """
 
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.process import Delay, Process, Signal, delay
 from repro.sim.resources import SerialResource
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "Delay",
     "Event",
-    "Process",
     "SerialResource",
-    "Signal",
     "SimulationError",
     "Simulator",
     "TraceRecorder",
-    "delay",
 ]
