@@ -56,11 +56,12 @@ class SwitchMLConfig:
     ``SwitchMLWorker._on_result``, ``Link.send``, ``Host.deliver`` --
     which are the executable spec and hold the tracked fingerprints.
     Above 0, links, hosts and the switch coalesce arrivals into
-    epsilon-wide windows and everything moves in batches (frame trains
-    out, RX bursts in, the NumPy/C ``handle_batch`` bodies): the same
-    tensors and the same loss recovery from far fewer events, at the
-    price of up to epsilon of added latency per hop -- a fidelity dial,
-    not a free speed-up (docs/PERFORMANCE.md has both sides measured).
+    epsilon-wide windows and transport moves in batches (frame trains
+    out, RX bursts in, one ``handle_batch`` call per switch drain, which
+    runs ``handle`` packet by packet): the same tensors and the same
+    loss recovery from far fewer events, at the price of up to epsilon
+    of added latency per hop -- a fidelity dial, not a free speed-up
+    (docs/PERFORMANCE.md has both sides measured).
     """
 
     num_workers: int = 8
@@ -98,16 +99,12 @@ class SwitchMLConfig:
     reuse_buffers: bool | None = None
     #: epsilon-window coalescing, seconds.  0 = the per-packet path.
     #: Positive: arrivals within ``burst_epsilon`` of a window's opener
-    #: ride the same drain event at link, host and switch, growing the
-    #: batches the vectorized bodies see -- protocol-equivalent (same
+    #: ride the same drain event at link, host and switch, so far fewer
+    #: engine events carry the same frames -- protocol-equivalent (same
     #: tensors, same retransmission regime), not schedule-identical.  A
     #: round trip crosses four windows, so ``4 * burst_epsilon`` must
     #: stay under ``timeout_s`` or every timer fires spuriously.
     burst_epsilon: float = 0.0
-    #: switch inner-loop backend: None reads $REPRO_BACKEND ("numpy"
-    #: default; "c" = compiled kernel with NumPy fallback).  See
-    #: :mod:`repro.core.backend`.
-    backend: str | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -411,7 +408,6 @@ class SwitchMLJob:
                 check_invariants=cfg.check_invariants,
                 epoch=cfg.epoch,
                 obs=self.obs, clock=clock, trace=self.trace,
-                backend=cfg.backend,
             )
         eps = cfg.burst_epsilon
         if eps > 0.0:

@@ -271,12 +271,10 @@ class SwitchSlotState:
     (``-1`` = none; switch metadata behind the phase-offset discipline
     of ``SwitchMLProgram.handle``, not one of the paper's registers).
 
-    The narrow arrays are NumPy-backed (``numpy_narrow=True``) so the
-    batch bodies and the optional compiled kernel can update the
-    ``seen`` bitmap and contribution counters whole-batch; their raw
-    storage is exposed as ``seen_bits`` / ``count_cells`` (``uint8``
-    arrays) -- what the batch bodies and the kernel index.  As in
-    :class:`WorkerSlotState`, each scalar-addressed array has a
+    The narrow arrays are NumPy-backed (``numpy_narrow=True``); their
+    raw storage is exposed as ``seen_bits`` / ``count_cells`` (``uint8``
+    arrays) for whole-range writes (a phase reset, :meth:`restore`).
+    As in :class:`WorkerSlotState`, each scalar-addressed array has a
     ``memoryview`` twin on the same storage (``seen_v`` / ``count_v`` /
     ``pop_v`` / ``off_v``) for the per-packet path, which hands back
     builtin ``int``.  All stay valid across :meth:`reset` and

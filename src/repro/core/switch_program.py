@@ -22,9 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.core.backend import backend_name, load_switch_kernel
 from repro.core.packet import SwitchMLPacket
 from repro.core.protocol import (
     DROP_DECISION as _DROP,
@@ -130,16 +127,7 @@ class SwitchMLProgram:
         bucketed-series mechanism.  The program ticks ``slot_contention``
         and ``shadow_read`` so loss timelines cover the switch end as
         well as the worker's ``sent`` / ``resent``.
-    backend:
-        Batch-body backend selection: ``"c"`` for the compiled kernel,
-        ``"numpy"`` for the pure-NumPy body, ``None`` (default) to read
-        ``$REPRO_BACKEND``.  Fail-soft: if the kernel cannot be built
-        the NumPy body is used (see :mod:`repro.core.backend`).
     """
-
-    #: smallest batch the vectorized/compiled bodies pay for themselves
-    #: on; smaller drains loop the per-packet handle() (same semantics)
-    BATCH_MIN = 16
 
     def __init__(
         self,
@@ -151,7 +139,6 @@ class SwitchMLProgram:
         obs: "Observability | None" = None,
         clock: Callable[[], float] | None = None,
         trace: "TraceRecorder | None" = None,
-        backend: str | None = None,
     ):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -171,15 +158,14 @@ class SwitchMLProgram:
         self._pool = self.state.pool
         self._count = self.state.count
         self._seen = self.state.seen
-        # Direct aliases of the state's storage: the ndarrays for the
-        # batch bodies and the kernel, the same-storage memoryviews
-        # (builtin ints, cheaper one-element access) for handle(); safe
-        # because the state only ever writes in place.  The arrays'
-        # `accesses` counters are batch-incremented per packet.
+        # Direct aliases of the state's storage: same-storage memoryviews
+        # (builtin ints, cheaper one-element access) for handle(), the
+        # ndarrays for the whole-range resets; safe because the state
+        # only ever writes in place.  The registers' `accesses` counters
+        # are bumped once per packet by that packet's access count.
         st = self.state
         self._seen_bits, self._seen_v = st.seen_bits, st.seen_v
-        self._count_cells, self._count_v = st.count_cells, st.count_v
-        self._kernel = load_switch_kernel(backend)
+        self._count_v = st.count_v
         # Per-(version, slot) tensor offset of the last phase opened
         # there.  Within one program's life a slot's phases carry
         # strictly increasing offsets (the worker round-robin strides
@@ -207,7 +193,7 @@ class SwitchMLProgram:
         #: maintained per-(version, slot) popcount of the ``seen`` bitmap,
         #: updated on every bit transition so inspection is O(1) instead
         #: of an O(n) scan over the bit cells
-        self._seen_pop, self._pop_v = st.seen_pop, st.pop_v
+        self._pop_v = st.pop_v
 
         self.obs = obs if obs is not None else NULL_OBS
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -215,7 +201,7 @@ class SwitchMLProgram:
         self._tracer = self.obs.tracer
         # the switch_* instruments mirror the plain counts above and are
         # brought up to date by _flush_metrics when the registry is
-        # read; the packet and batch bodies never touch them
+        # read; handle() never touches them
         metrics = self.obs.metrics
         self._m_counters = tuple(
             metrics.counter(name, help)
@@ -537,425 +523,29 @@ class SwitchMLProgram:
         """Process one coalesced burst of update packets.
 
         Window-path entry point: the chassis hands over every update
-        that crossed the ingress pipeline in the same drain window (in
-        arrival order).  :meth:`handle` is the reference; two wide
-        bodies sit behind this interface, picked per call:
-
-        * the **vectorized NumPy body** (default): no per-frame Python
-          loop beyond field extraction -- the batch is grouped by flat
-          (version, slot) key with ``np.unique``, the ``seen`` bitmap
-          and maintained popcount are updated whole-batch, counters
-          advance by group size, and value aggregation is one grouped
-          ``np.add.at`` scatter over the pool viewed as ``(2s, k)``
-          rows.  Only *messy* slots (one with a duplicate, shadow
-          read, or repeated (slot, worker) pair in the batch) fall
-          back to the per-packet :meth:`handle`, preserving its exact
-          semantics;
-        * the **compiled kernel** (``REPRO_BACKEND=c``): the
-          order-dependent classification loop runs in C over the raw
-          ``uint8``/``int64`` register buffers (no messy fallback
-          needed -- it is sequential and exact); Python applies the
-          payload/response plan it returns.
-
-        With the event tracer or invariant checking active the drain
-        replays :meth:`handle` packet by packet instead -- that is where
-        the per-event records and assertions live, which the wide bodies
-        skip for speed -- and one ``burst.switch`` aggregate record
-        describes the drain.
-
-        Equivalence with per-packet execution holds because clean and
-        messy packets touch disjoint *slots*: every register a packet
-        reads or writes -- its ``pool``/``count`` cells and its
-        ``seen`` bits in both pool versions -- belongs to its slot, so
-        absorbing the clean slots wide before replaying the messy
-        slots sequentially commutes with arrival order.  Within the
-        clean set all contributions are first-time from distinct
-        (slot, worker) pairs, so per-group operations are
-        order-insensitive.  Int64 group sums equal the sequential
-        32-bit wraparound adds modulo 2**32.
-        Emissions are ordered by triggering-packet position, so the
-        egress order -- and therefore every downstream link's
-        serialization and RNG draw order -- matches per-packet
-        execution exactly.
+        that crossed the ingress pipeline in the same drain window, in
+        arrival order.  The switch itself is not batched -- as on the
+        ASIC, Algorithm 3 runs one packet at a time: :meth:`handle` for
+        every packet (it fences epochs and checks ranges itself), and
+        the non-drop decisions come back in the order their triggering
+        packets arrived, so every downstream link serializes and draws
+        randomness in per-packet order.  With the event tracer on, one
+        ``burst.switch`` aggregate record describes the drain.
         """
-        traced = self._tracer.enabled
-        if traced or self.check_invariants or len(packets) < self.BATCH_MIN:
-            # the spec loop (handle() fences epochs and checks ranges
-            # itself): for its records and assertions when asked for,
-            # and for small drains because it beats any batch setup
-            out = []
-            handle = self.handle
-            for p in packets:
-                d = handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append(d)
-            if traced:
-                self._tracer.emit(
-                    "burst.switch", self._clock(), cat="burst", actor="switch",
-                    packets=len(packets),
-                    groups=len({(p.ver, p.idx) for p in packets}),
-                    emissions=len(out),
-                )
-            return out
-
-        # ---- field extraction + epoch fence (the one per-packet loop)
-        s, n = self.s, self.n
-        epoch = self.epoch
-        pks: list[SwitchMLPacket] = []
-        vs_l: list[int] = []
-        wid_l: list[int] = []
-        off_l: list[int] = []
-        fenced = 0
+        out = []
+        handle = self.handle
         for p in packets:
-            if p.epoch != epoch:
-                fenced += 1
-                continue
-            idx, wid = p.idx, p.wid
-            if not 0 <= idx < s:
-                raise ValueError(f"pool index {idx} out of range [0, {s})")
-            if not 0 <= wid < n:
-                raise ValueError(f"worker id {wid} out of range [0, {n})")
-            vs_l.append(p.ver * s + idx)
-            wid_l.append(wid)
-            off_l.append(p.off)
-            pks.append(p)
-        if fenced:
-            self.stale_epoch_drops += fenced
-        if not pks:
-            return []
-        if len(pks) == 1:
-            d = self.handle(pks[0])
-            return [] if d.action is SwitchAction.DROP else [d]
-        vs_a = np.array(vs_l, dtype=np.int64)
-        wid_a = np.array(wid_l, dtype=np.int64)
-        off_a = np.array(off_l, dtype=np.int64)
-
-        # ---- phase-offset screen (see handle()): a batch containing a
-        # reordered stale retransmission -- a packet whose offset does
-        # not match what its pre-batch (seen, count) state implies -- or
-        # mixed offsets within one (version, slot) group is replayed
-        # entirely on the per-packet path, which enforces the full
-        # offset discipline in arrival order.  Rare (jitter races only),
-        # so the wide bodies stay free of offset bookkeeping beyond
-        # recording the phases they open.
-        stored = self._off_cells[vs_a]
-        openingish = (self._seen_bits[vs_a * n + wid_a] == 0) & (
-            self._count_cells[vs_a] == 0
-        )
-        suspect = np.count_nonzero(
-            np.where(
-                openingish,
-                (off_a <= stored) | (self._seen_pop[vs_a] != 0),
-                off_a != stored,
+            d = handle(p)
+            if d.action is not SwitchAction.DROP:
+                out.append(d)
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "burst.switch", self._clock(), cat="burst", actor="switch",
+                packets=len(packets),
+                groups=len({(p.ver, p.idx) for p in packets}),
+                emissions=len(out),
             )
-        )
-        if not suspect:
-            order = vs_a.argsort(kind="stable")
-            sv = vs_a[order]
-            so = off_a[order]
-            suspect = np.count_nonzero((sv[1:] == sv[:-1]) & (so[1:] != so[:-1]))
-        if not suspect:
-            # Same (slot, worker) under both pool versions in one drain:
-            # an absorb into one version clears the pair's alternate-
-            # version seen bit mid-batch, so a stale same-offset
-            # retransmission later in the drain would read as a fresh
-            # phase opening inside the wide bodies.  The screen above
-            # only sees pre-batch state, so divert these to the
-            # per-packet path (which answers from the shadow copy).
-            sw = (vs_a % s) * n + wid_a
-            o2 = sw.argsort(kind="stable")
-            same = sw[o2][1:] == sw[o2][:-1]
-            if np.count_nonzero(same):
-                sver = vs_a[o2] >= s
-                suspect = np.count_nonzero(same & (sver[1:] != sver[:-1]))
-        if suspect:
-            out = []
-            handle = self.handle
-            for p in pks:
-                d = handle(p)
-                if d.action is not SwitchAction.DROP:
-                    out.append(d)
-            return out
-
-        if self._kernel is not None:
-            return self._handle_batch_compiled(pks, vs_a, wid_a, off_a)
-        return self._handle_batch_numpy(pks, vs_a, wid_a, off_a)
-
-    # ------------------------------------------------------------------
-    def _handle_batch_numpy(
-        self,
-        pks: list[SwitchMLPacket],
-        vs_a: np.ndarray,
-        wid_a: np.ndarray,
-        off_a: np.ndarray,
-    ) -> list[SwitchDecision]:
-        """Vectorized batch body (see :meth:`handle_batch`).
-
-        ``pks`` has passed the epoch fence, range checks, and the
-        phase-offset screen; ``vs_a`` is the flat (version, slot) key
-        per packet, in arrival order, ``off_a`` the tensor offsets
-        (uniform within each (version, slot) group -- mixed groups were
-        screened out).
-        """
-        s, n, k = self.s, self.n, self.k
-        seen_bits = self._seen_bits
-        counts = self._count_cells
-        pop = self._seen_pop
-        m = len(pks)
-        sb = vs_a * n + wid_a
-        first = seen_bits[sb] == 0
-        uvs, inv, gcnt = np.unique(vs_a, return_inverse=True, return_counts=True)
-        inv = inv.ravel()  # numpy<2.1 returns the input's shape
-
-        # a *slot* is "messy" -- all its packets, both versions, handled
-        # by the exact per-packet path -- if any packet touching it is a
-        # non-first contribution (duplicate or shadow read) or the same
-        # (slot, worker) pair appears twice in the batch (any versions).
-        # Messiness is per slot, not per (version, slot): an absorb into
-        # one version clears the alternate version's seen bit, so order
-        # between a slot's two versions is observable (e.g. a shadow
-        # read racing the same worker's next-phase packet); keeping the
-        # whole slot on the sequential path preserves arrival order.
-        slot_a = vs_a % s
-        bad_pkt = ~first
-        sw = slot_a * n + wid_a
-        order = sw.argsort(kind="stable")
-        ssw = sw[order]
-        dup = ssw[1:] == ssw[:-1]
-        if np.count_nonzero(dup):
-            bad_pkt[order[1:][dup]] = True
-            bad_pkt[order[:-1][dup]] = True
-        slot_bad = np.bincount(slot_a, weights=bad_pkt, minlength=s) > 0
-        # counter overflow: cleared seen bits can admit more than
-        # n - count first-time contributors, so the counter would pass
-        # n mid-group -- a multicast plus a new phase opening inside
-        # one group, sequential-only semantics
-        over = counts[uvs].astype(np.int64) + gcnt > n
-        if np.count_nonzero(over):
-            slot_bad[uvs[over] % s] = True
-        clean = ~slot_bad[slot_a]
-        g_clean = ~slot_bad[uvs % s]
-
-        out: list[tuple[int, SwitchDecision]] = []
-        cl_idx = clean.nonzero()[0]
-        if cl_idx.size:
-            c_vs = vs_a[cl_idx]
-            c_wid = wid_a[cl_idx]
-            c_sb = sb[cl_idx]
-            g_vs = uvs[g_clean]
-            g_cnt = gcnt[g_clean]
-            count_before = counts[g_vs].astype(np.int64)
-
-            # record the phase offset each opening group claims (the
-            # messy slots' bookkeeping happens inside handle()); offsets
-            # are uniform per group, so any packet's value serves
-            g_opens = count_before == 0
-            if np.count_nonzero(g_opens):
-                g_off = np.empty(uvs.size, dtype=np.int64)
-                g_off[inv] = off_a
-                self._off_cells[g_vs[g_opens]] = g_off[g_clean][g_opens]
-
-            # seen bitmap + maintained popcount, whole-batch.  Reading
-            # the alternate-pool bits *after* setting our own is safe:
-            # no clean packet's (vs, wid) bit is another's (ovs, wid)
-            # bit -- that needs the same (slot, worker) under both
-            # versions, which the duplicate check routes to messy.
-            seen_bits[c_sb] = 1
-            pop[g_vs] += g_cnt
-            c_ovs = np.where(c_vs >= s, c_vs - s, c_vs + s)
-            c_ob = c_ovs * n + c_wid
-            need = seen_bits[c_ob] == 1
-            n_clear = int(np.count_nonzero(need))
-            if n_clear:
-                seen_bits[c_ob[need]] = 0
-                np.subtract.at(pop, c_ovs[need], 1)
-            self._seen.accesses += 3 * cl_idx.size + n_clear
-            self._count.accesses += 2 * cl_idx.size
-            self.packets_processed += cl_idx.size
-
-            # grouped counter advance; distinct unseen workers plus the
-            # overflow check above guarantee new_count <= n
-            new_count = count_before + g_cnt
-            wrapped = new_count == n
-            counts[g_vs] = np.where(wrapped, 0, new_count & 255)
-            claims = int(np.count_nonzero(count_before == 0))
-            releases = int(np.count_nonzero(wrapped))
-            self.occupied_slots += claims - releases
-            self.multicasts += releases
-
-            has_vec = pks[cl_idx[0]].vector is not None
-            if has_vec:
-                # grouped value aggregation: the pool viewed as one row
-                # per (version, slot).  First contribution of a phase
-                # overwrites the slot (shadow-copy recycling): zero the
-                # opening rows, then scatter-add every vector.  astype
-                # int32 wraps per element exactly like the sequential
-                # per-packet adds.
-                pool2 = self._pool._cells.reshape(2 * s, k)
-                opening = g_vs[count_before == 0]
-                if opening.size:
-                    pool2[opening] = 0
-                vecs = np.array([pks[i].vector for i in cl_idx.tolist()])
-                np.add.at(pool2, c_vs, vecs.astype(np.int32))
-                self._pool.accesses += g_vs.size
-
-            if releases:
-                # the group's last packet completed the aggregation --
-                # the multicast anchors to its position
-                last = np.zeros(uvs.size, dtype=np.int64)
-                np.maximum.at(last, inv[cl_idx], cl_idx)
-                for g in g_clean.nonzero()[0][wrapped].tolist():
-                    i_last = int(last[g])
-                    p_last = pks[i_last]
-                    vector = None
-                    if has_vec:
-                        lo = int(uvs[g]) * k
-                        vector = self._pool.read_range(lo, lo + k)
-                    out.append((
-                        i_last,
-                        SwitchDecision(
-                            SwitchAction.MULTICAST, p_last.result_copy(vector)
-                        ),
-                    ))
-
-        if cl_idx.size != m:
-            # messy groups: exact per-packet semantics, in arrival
-            # order.  Safe after the clean absorb because messy and
-            # clean groups touch disjoint bits/counters (see the
-            # equivalence argument in handle_batch).
-            for i in (~clean).nonzero()[0].tolist():
-                d = self.handle(pks[i])
-                if d.action is not SwitchAction.DROP:
-                    out.append((i, d))
-
-        if len(out) > 1:
-            out.sort(key=lambda e: e[0])
-        return [d for _, d in out]
-
-    # ------------------------------------------------------------------
-    def _handle_batch_compiled(
-        self,
-        pks: list[SwitchMLPacket],
-        vs_a: np.ndarray,
-        wid_a: np.ndarray,
-        off_a: np.ndarray,
-    ) -> list[SwitchDecision]:
-        """Compiled-kernel batch body (``REPRO_BACKEND=c``).
-
-        The C kernel runs the exact order-dependent classification over
-        the raw register buffers and returns per-packet verdicts; this
-        side applies the payload plan and builds the responses.
-        """
-        from repro.core import backend as _be
-
-        s, n, k = self.s, self.n, self.k
-        m = len(pks)
-        cls, resets, seen_acc, count_acc = self._kernel.absorb(
-            s, n, vs_a, wid_a, self._seen_bits, self._count_cells, self._seen_pop
-        )
-        self._seen.accesses += seen_acc
-        self._count.accesses += count_acc
-        self.packets_processed += m
-
-        completes = cls == _be.CLS_COMPLETES
-        shadow = cls == _be.CLS_SHADOW
-        absorbed = cls <= _be.CLS_COMPLETES
-        n_abs = int(np.count_nonzero(absorbed))
-        n_comp = int(np.count_nonzero(completes))
-        n_shadow = int(np.count_nonzero(shadow))
-        n_dup = m - n_abs - n_shadow
-        claims = int(np.count_nonzero(resets))
-        if claims:
-            # the kernel marks each phase-opening packet in `resets`;
-            # record the offsets those phases claim (offsets are uniform
-            # per group -- the phase-offset screen diverted mixed ones)
-            ropk = resets != 0
-            self._off_cells[vs_a[ropk]] = off_a[ropk]
-        self.multicasts += n_comp
-        self.unicast_retransmits += n_shadow
-        self.ignored_duplicates += n_dup
-        self.occupied_slots += claims - n_comp
-        if self.trace is not None and (n_shadow or n_dup):
-            now = self._clock()
-            for _ in range(n_shadow):
-                self.trace.tick("shadow_read", now)
-            for _ in range(n_dup):
-                self.trace.tick("slot_contention", now)
-
-        has_vec = pks[0].vector is not None
-        shadow_vecs: dict[int, np.ndarray] = {}
-        mc_vecs: dict[int, np.ndarray] = {}
-        if has_vec:
-            pool2 = self._pool._cells.reshape(2 * s, k)
-            shadow_idx = shadow.nonzero()[0]
-            reset_mask = resets != 0
-            opening = np.unique(vs_a[reset_mask]) if claims else vs_a[:0]
-            # Rare races needing packet-order replay: a shadow read of
-            # a slot whose next phase also opens in this batch must
-            # observe the *old* copy iff the read precedes the opening
-            # packet; likewise a completed aggregation whose row is
-            # reopened later in the batch must be read before the new
-            # phase overwrites it.  Otherwise apply the batch payload
-            # plan wide, then read the shadows: a shadow sees count==0,
-            # so every in-batch absorb into its row precedes it (a
-            # later one would be a reset, caught by `overlap`) -- the
-            # post-add row is exactly what sequential execution reads.
-            overlap = opening.size and (
-                (shadow_idx.size and np.count_nonzero(np.isin(vs_a[shadow_idx], opening)))
-                or (n_comp and np.count_nonzero(np.isin(vs_a[completes], opening)))
-            )
-            if not overlap:
-                if opening.size:
-                    pool2[opening] = 0
-                ab_idx = absorbed.nonzero()[0]
-                if ab_idx.size:
-                    vecs = np.array([pks[i].vector for i in ab_idx.tolist()])
-                    np.add.at(pool2, vs_a[ab_idx], vecs.astype(np.int32))
-                    self._pool.accesses += int(np.unique(vs_a[ab_idx]).size)
-                for i in shadow_idx.tolist():
-                    lo = int(vs_a[i]) * k
-                    shadow_vecs[i] = self._pool.read_range(lo, lo + k)
-            else:
-                for i in range(m):
-                    lo = int(vs_a[i]) * k
-                    if absorbed[i]:
-                        if resets[i]:
-                            self._pool.write_range(lo, lo + k, pks[i].vector)
-                        else:
-                            self._pool.add_range(lo, lo + k, pks[i].vector)
-                        if completes[i]:
-                            # capture at completion time: a later packet
-                            # may reopen and overwrite this row
-                            mc_vecs[i] = self._pool.read_range(lo, lo + k)
-                    elif shadow[i]:
-                        shadow_vecs[i] = self._pool.read_range(lo, lo + k)
-
-        out: list[SwitchDecision] = []
-        if n_comp or n_shadow:
-            for i in (completes | shadow).nonzero()[0].tolist():
-                p = pks[i]
-                if completes[i]:
-                    vector = mc_vecs.get(i)
-                    if vector is None and has_vec:
-                        lo = int(vs_a[i]) * k
-                        vector = self._pool.read_range(lo, lo + k)
-                    out.append(
-                        SwitchDecision(SwitchAction.MULTICAST, p.result_copy(vector))
-                    )
-                else:
-                    out.append(
-                        SwitchDecision(
-                            SwitchAction.UNICAST,
-                            p.result_copy(shadow_vecs.get(i)),
-                            unicast_wid=p.wid,
-                        )
-                    )
         return out
-
-    @property
-    def backend(self) -> str:
-        """Active batch-body backend label (``"c"`` or ``"numpy"``)."""
-        return backend_name(self._kernel)
 
     # ------------------------------------------------------------------
     @property

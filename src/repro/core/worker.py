@@ -364,12 +364,9 @@ class SwitchMLWorker:
         assert self._tensor is not None
         return self._tensor[off : off + self.k]
 
-    def _send_chunk(self, idx: int, ver: int, off: int, arm: bool = True) -> None:
+    def _send_chunk(self, idx: int, ver: int, off: int) -> None:
         """Send one chunk; the TX-side instrumentation (the old
-        ``_transmit``) is inlined -- this runs once per in-order send.
-
-        ``arm=False`` skips the timer arming: the batch RX body computes
-        the whole batch's deadlines vectorially after all its sends."""
+        ``_transmit``) is inlined -- this runs once per in-order send."""
         if self.reuse_buffers and (packet := self._slot_buf[idx]) is not None:
             # hot path: mutate the slot's dedicated packet + frame in
             # place (see the reuse_buffers note in __init__)
@@ -414,8 +411,6 @@ class SwitchMLWorker:
                 slot=idx, ver=ver, off=off,
             )
         self.host.send(frame)
-        if not arm:
-            return
         if self._coalesce:
             self._arm_deadline(idx)
         else:
@@ -432,7 +427,8 @@ class SwitchMLWorker:
         :meth:`_send_chunk` exactly; the fresh frames are built in one
         :func:`to_frames` call and the whole group leaves through
         :meth:`Host.send_train`, after which the deadlines are armed in
-        send order.
+        send order -- unless ``arm=False``: the batch RX body computes
+        the whole batch's deadlines vectorially after its sends.
         """
         now = self.sim.now
         host = self.host
@@ -1062,19 +1058,9 @@ class SwitchMLWorker:
         # batch timer math: send the frames without arming, then compute
         # every deadline in one vector op and re-arm the singleton once
         sent_slots = si[send_pos]
-        if send_pos.size > 1:
-            self._send_chunks(
-                sent_slots, 1 - ver_a[acc[send_pos]], next_off[send_pos],
-                arm=False,
-            )
-        else:
-            j = int(send_pos[0])
-            self._send_chunk(
-                idx=int(si[j]),
-                ver=1 - int(ver_a[acc[j]]),
-                off=int(next_off[j]),
-                arm=False,
-            )
+        self._send_chunks(
+            sent_slots, 1 - ver_a[acc[send_pos]], next_off[send_pos], arm=False
+        )
         dur = self.timeout_s * st.backoff[sent_slots]
         np.minimum(dur, self.max_timeout_s, out=dur)
         deadlines = now + dur

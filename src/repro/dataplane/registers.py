@@ -44,10 +44,10 @@ class RegisterArray:
     numpy_narrow:
         Store narrow (1/8/16-bit) cells in a contiguous ``uint8``/
         ``uint16`` NumPy array instead of a Python list.  Scalar access
-        is a few times slower than a list index, but the storage can be
-        operated on *vectorially* (whole-batch bitmap updates, grouped
-        counter advances) and handed to a compiled kernel as a raw
-        buffer -- the trade the batch-granularity switch program makes.
+        is a few times slower than a list index, but the storage is a
+        raw buffer: a same-storage ``memoryview`` gives builtin-int
+        scalar access, and slices reset whole ranges at once (what
+        :class:`repro.core.protocol.SwitchSlotState` uses).
     """
 
     _DTYPES = {32: np.int32, 64: np.int64}

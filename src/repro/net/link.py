@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.packet import Frame
 from repro.sim.engine import Simulator
@@ -29,28 +27,6 @@ _submit_key = itemgetter(0)
 #: block size of the inlined Bernoulli draw buffer; must match
 #: BernoulliLoss._BLOCK so draw alignment survives path rebinds
 _BERN_BLOCK = BernoulliLoss._BLOCK
-
-#: compiled send-body kernel, resolved lazily (the import reaches into
-#: repro.core, which imports this module -- resolving at first use
-#: instead of import time breaks the cycle).  False = not yet resolved.
-_TRAIN_KERNEL: Any = False
-
-#: placeholder block for kernel calls that take no draws (loss_p == 0)
-#: or enter with a spent buffer (u_len=0 makes the kernel return
-#: immediately so the caller refills)
-_NO_U = np.zeros(1, dtype=np.float64)
-
-
-def _link_kernel() -> Any:
-    global _TRAIN_KERNEL
-    if _TRAIN_KERNEL is False:
-        try:
-            from repro.core.backend import load_link_kernel
-
-            _TRAIN_KERNEL = load_link_kernel()
-        except Exception:
-            _TRAIN_KERNEL = None
-    return _TRAIN_KERNEL
 
 
 @dataclass
@@ -479,65 +455,6 @@ class Link:
             # the busy chain plus one Bernoulli draw
             n = len(pairs)
             p_loss = bern.probability if bern is not None else 0.0
-            # below ~64 frames the ctypes marshalling (ndpointer checks,
-            # fromiter, scratch arrays) costs more than the loop it
-            # replaces; steady-state windows here are ~25 frames, so the
-            # kernel effectively serves the pool-sized opening trains
-            kernel = _link_kernel() if n >= 64 else None
-            if kernel is not None:
-                # compiled body sweep: same float ops in the same order
-                # as the loop below (see repro.core.backend)
-                t_arr = np.fromiter((p[0] for p in pairs), dtype=np.float64, count=n)
-                wb_arr = np.fromiter(
-                    (p[1].wire_bytes for p in pairs), dtype=np.int64, count=n
-                )
-                arrival = np.empty(n, dtype=np.float64)
-                ok = np.empty(n, dtype=np.int8)
-                fstate = np.array([busy, stats.busy_time], dtype=np.float64)
-                istate = np.array(
-                    [u_i if u_buf is not None else _BERN_BLOCK], dtype=np.int64
-                )
-                train_bodies = kernel.train_bodies
-                # the block buffer is kept as a plain list elsewhere (the
-                # per-draw paths index it); the kernel wants contiguous
-                # doubles, so convert at the boundary -- same bits either
-                # way, and this path only runs for >=64-frame trains
-                u_np = (
-                    np.array(u_buf, dtype=np.float64)
-                    if u_buf is not None
-                    else None
-                )
-                i = 0
-                while True:
-                    buf = u_np if u_np is not None else _NO_U
-                    ulen = _BERN_BLOCK if u_np is not None else 0
-                    i = train_bodies(
-                        n, i, t_arr, wb_arr, rate, prop, p_loss,
-                        buf, ulen, arrival, ok, fstate, istate,
-                    )
-                    if i >= n:
-                        break
-                    # block spent mid-train: refill exactly as the
-                    # per-frame draw would have, re-enter at frame i
-                    u_np = rng.random(_BERN_BLOCK)
-                    istate[0] = 0
-                self._busy_until = float(fstate[0])
-                stats.busy_time = float(fstate[1])
-                if u_np is not None:
-                    # only when draws ran: a lossless sweep leaves the
-                    # cursor exactly as the per-frame path would
-                    self._u_i = int(istate[0])
-                    self._u_buf = u_np.tolist()
-                records = [
-                    (a, pair[1])
-                    for pair, a, okj in zip(pairs, arrival.tolist(), ok.tolist())
-                    if okj
-                ]
-                stats.frames_sent += n
-                stats.frames_lost += n - len(records)
-                stats.bytes_sent += int(wb_arr.sum())
-                return records, n
-
             busy_time = stats.busy_time
             for t, frame in pairs:
                 wire_bytes = frame.wire_bytes

@@ -68,9 +68,6 @@ def _run_job(cfg: SwitchMLConfig, num_elements: int) -> dict[str, Any]:
             s.tensor_aggregation_time for s in res.worker_stats
         ),
     }
-    program = getattr(job, "program", None)
-    if program is not None and hasattr(program, "backend"):
-        extra["backend"] = program.backend
     return {
         "wall_s": wall,
         "events": events,
@@ -96,8 +93,8 @@ def fig4_lossy_train(scale: float = 1.0) -> dict[str, Any]:
 
     Links, hosts and the switch merge near-simultaneous arrivals into
     one drain, worker chunk groups leave as frame trains, and the
-    vectorized batch bodies see batches big enough to pay off.  20 us is
-    several RTTs but far below the 1 ms retransmission timeout: the run
+    worker's vectorized RX body sees bursts big enough to pay off.  20 us
+    is several RTTs but far below the 1 ms retransmission timeout: the run
     is protocol-equivalent, NOT schedule-identical -- results and
     recovery behavior match, but per-packet timings shift by up to eps
     per hop, which shows up as an additive ``max_tat_s`` inflation of

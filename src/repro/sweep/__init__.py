@@ -26,7 +26,7 @@ it in three layers:
 :mod:`repro.sweep.fuzz`
     The scenario fuzzer: composes random :class:`FaultPlan` /
     :class:`FabricFaultPlan` draws with protocol knobs (epsilon,
-    backend, loss, jitter) and asserts the tier-1 invariants
+    loss, jitter) and asserts the tier-1 invariants
     on every draw (exact sums, bounded recovery, epoch fencing,
     obs/trace consistency).  Failing draws are minimized to the
     smallest plan that still violates and are replayable standalone

@@ -8,7 +8,7 @@ Each fuzz draw:
 
 1. deterministically generates a scenario from its seed -- a domain
    (flat rack / controller-managed rack / Clos fabric), protocol knobs
-   (loss, jitter, epsilon window, backend, stragglers),
+   (loss, jitter, epsilon window, stragglers),
    and a random :class:`FaultPlan` / :class:`FabricFaultPlan`;
 2. runs it and asserts the tier-1 invariants
    (:mod:`repro.sweep.invariants`): exact sums, bounded recovery,
@@ -64,7 +64,7 @@ _HORIZONS = {"flat": 10.0, "rack": 2.0, "fabric": 5.0}
 _KNOBS = {
     "flat": frozenset({
         "workers", "pool", "elements", "loss", "jitter_us", "burst_epsilon",
-        "backend", "start_times_us",
+        "start_times_us",
     }),
     "rack": frozenset({"workers", "pool", "elements", "loss"}),
     "fabric": frozenset({
@@ -112,12 +112,8 @@ def _draw_flat(rng: np.random.Generator) -> dict[str, Any]:
         "loss": float([0.0, 0.01, 0.05][int(rng.integers(3))]),
         "jitter_us": float([0.0, 0.0, 2.0][int(rng.integers(3))]),
         # the execution shape: epsilon picks the path (0 = per-packet,
-        # > 0 = window-coalesced trains), backend the wide switch body.
-        # "c" falls back to numpy without a compiler -- bit-equivalent
-        # either way (the lockstep equivalence suite is the contract),
-        # so draws stay machine-independent
+        # > 0 = window-coalesced trains)
         "burst_epsilon": float([0.0, 5e-6, 2e-5, 5e-5][int(rng.integers(4))]),
-        "backend": ["numpy", "c"][int(rng.integers(2))],
     }
     # stragglers: skewed gradient availability at some workers
     if rng.random() < 0.3:
@@ -270,7 +266,6 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
         link=LinkSpec(jitter_s=float(knobs.get("jitter_us", 0.0)) * 1e-6),
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
         burst_epsilon=eps,
-        backend=knobs.get("backend"),
         obs=obs,
         seed=int(draw["run_seed"]),
     )
@@ -302,7 +297,6 @@ def _run_flat(draw: dict[str, Any]) -> dict[str, Any]:
             "retransmissions": int(res.retransmissions),
             "frames_lost": int(res.frames_lost),
             "max_tat_s": res.max_tat if res.completed else None,
-            "backend": getattr(job.program, "backend", "numpy"),
         },
     }
 

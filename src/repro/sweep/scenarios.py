@@ -56,8 +56,8 @@ def _sha(arr: np.ndarray | None) -> str | None:
 def protocol_fingerprint(result: Any) -> dict[str, Any]:
     """Protocol-level observables of an :class:`AllReduceResult`.
 
-    Bit-identical across ``backend="numpy"`` vs ``"c"`` -- the
-    equivalence contract the cross-config determinism tests pin down.
+    Bit-identical for equivalent configurations -- the contract the
+    cross-config determinism tests pin down.
     """
     first = next((r for r in result.results if r is not None), None)
     return {
@@ -86,7 +86,7 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
     """One all-reduce on the paper's Figure 4 rack, knobs from params.
 
     Knobs: ``workers``, ``pool``, ``elements``, ``loss``, ``jitter_us``,
-    ``burst_epsilon``, ``backend``, ``timeout_s``, ``verify`` (real
+    ``burst_epsilon``, ``timeout_s``, ``verify`` (real
     tensors checked against the exact sum; phantom run when false).
     """
     from repro.core.job import SwitchMLConfig, SwitchMLJob
@@ -103,7 +103,6 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         link=LinkSpec(jitter_s=float(params.get("jitter_us", 0.0)) * 1e-6),
         loss_factory=_loss_factory(float(params.get("loss", 0.0))),
         burst_epsilon=float(params.get("burst_epsilon", 0.0)),
-        backend=params.get("backend"),
         seed=seed,
     )
     job = SwitchMLJob(cfg)
@@ -118,7 +117,6 @@ def _scenario_fig4(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "sim_events": int(res.sim_events),
         "retransmissions": int(res.retransmissions),
         "max_tat_s": res.max_tat,
-        "backend": getattr(job.program, "backend", "numpy"),
     }
 
 
@@ -248,7 +246,7 @@ def _scenario_fuzz(params: dict[str, Any], seed: int) -> dict[str, Any]:
 #: would otherwise run a different experiment than its line describes.
 _FIG4_KNOBS = frozenset({
     "workers", "pool", "elements", "loss", "jitter_us", "burst_epsilon",
-    "backend", "timeout_s", "verify",
+    "timeout_s", "verify",
 })
 SCENARIO_KNOBS: dict[str, frozenset[str]] = {
     "fig4_lossy": _FIG4_KNOBS,

@@ -14,6 +14,7 @@ from repro.core.switch_program import (
     SwitchAction,
     SwitchMLProgram,
 )
+from repro.obs import Observability
 
 K = 4
 
@@ -321,3 +322,106 @@ class TestPhantomMode:
         out = prog.handle(p1)
         assert out.action is SwitchAction.MULTICAST
         assert out.packet.vector is None
+
+
+class TestHandleBatch:
+    """``handle_batch`` -- the window path's switch step -- runs
+    :meth:`SwitchMLProgram.handle` per packet in arrival order.  Driven
+    in lockstep against a second program fed packet by packet, over a
+    protocol-plausible but adversarial mix: interleaved first
+    contributions, retransmitted duplicates (in flight and
+    post-completion shadow reads), same-slot version overlap, and
+    multi-batch slot reuse."""
+
+    N, S = 4, 8
+
+    def _packet(self, wid, ver, idx, chunk, retx=False):
+        off = chunk * K
+        vec = (np.arange(K, dtype=np.int64) + off * 131 + wid * 7 + ver) % 10_000
+        return SwitchMLPacket(
+            wid=wid, ver=ver, idx=idx, off=off, num_elements=K,
+            vector=vec, is_retransmission=retx,
+        )
+
+    def _drive(self, rng, step, num_batches=60, max_batch=24):
+        """Feed ``step(batch)`` batches from a miniature worker model.
+
+        Each worker keeps one outstanding (ver, chunk) per slot; a batch
+        is a random multiset of outstanding packets (duplicates model
+        retransmissions -- including of chunks that completed in an
+        earlier batch, which the switch must answer as shadow reads).
+        ``step`` returns the switch's decisions; multicasts advance the
+        model."""
+        n, s = self.N, self.S
+        ver = np.zeros((n, s), dtype=int)
+        chunk = np.zeros((n, s), dtype=int)
+        done: list[tuple[int, int]] = []  # (wid, idx) of completed chunks
+        for _ in range(num_batches):
+            batch = []
+            for _ in range(rng.integers(2, max_batch + 1)):
+                w, i = int(rng.integers(n)), int(rng.integers(s))
+                if done and rng.random() < 0.15:
+                    w, i = done[int(rng.integers(len(done)))]
+                    batch.append(self._packet(
+                        w, 1 - ver[w, i], i, max(0, chunk[w, i] - 1), retx=True
+                    ))
+                    continue
+                batch.append(self._packet(
+                    w, ver[w, i], i, chunk[w, i], retx=bool(rng.random() < 0.2)
+                ))
+            for d in step(batch):
+                if d.action is SwitchAction.MULTICAST:
+                    idx = d.packet.idx
+                    for w in range(n):
+                        done.append((w, idx))
+                        ver[w, idx] = 1 - ver[w, idx]
+                        chunk[w, idx] += 1
+
+    def _run_lockstep(self, seed, **kwargs):
+        prog = SwitchMLProgram(self.N, self.S, K, **kwargs)
+        ref = SwitchMLProgram(self.N, self.S, K)
+
+        def step(batch):
+            got = prog.handle_batch(list(batch))
+            want = [
+                d for d in map(ref.handle, batch)
+                if d.action is not SwitchAction.DROP
+            ]
+            assert [(d.action, d.unicast_wid) for d in got] == [
+                (d.action, d.unicast_wid) for d in want
+            ]
+            fields = ("idx", "ver", "off", "wid", "from_switch")
+            for g, w in zip(got, want):
+                assert [getattr(g.packet, f) for f in fields] == [
+                    getattr(w.packet, f) for f in fields
+                ]
+                np.testing.assert_array_equal(g.packet.vector, w.packet.vector)
+            gs, ws = prog.state.snapshot(), ref.state.snapshot()
+            for key in gs:
+                np.testing.assert_array_equal(gs[key], ws[key], err_msg=key)
+            for attr in ("multicasts", "unicast_retransmits",
+                         "ignored_duplicates", "packets_processed"):
+                assert getattr(prog, attr) == getattr(ref, attr), attr
+            return want
+
+        self._drive(np.random.default_rng(seed), step)
+        return prog
+
+    @pytest.mark.parametrize("seed", [1, 42, 1234])
+    def test_lockstep(self, seed):
+        prog = self._run_lockstep(seed)
+        assert prog.multicasts and prog.unicast_retransmits
+
+    def test_traced_lockstep(self):
+        obs = Observability()
+        prog = self._run_lockstep(42, obs=obs)
+        drains = [dict(e.args) for e in obs.tracer.select(name="burst.switch")]
+        assert len(drains) == 60  # one per batch `_drive` yields
+        assert sum(d["packets"] for d in drains) == prog.packets_processed
+        assert sum(d["emissions"] for d in drains) == (
+            prog.multicasts + prog.unicast_retransmits
+        )
+        assert obs.tracer.count("slot.release") == prog.multicasts
+
+    def test_check_invariants_lockstep(self):
+        self._run_lockstep(42, check_invariants=True)

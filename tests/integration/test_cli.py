@@ -298,6 +298,7 @@ class TestCliRetiredKnobs:
         ("--grid", "granularity=packet,burst"),
         ("--param", "train_egress=true"),
         ("--param", "train_cap=5"),
+        ("--param", "backend=c"),
     ])
     def test_sweep_rejects_retired_knob(self, flag, knob, tmp_path, capsys):
         code = main(["sweep", "--scenario", "fig4_lossy", "--seeds", "1",

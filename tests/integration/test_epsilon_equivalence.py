@@ -2,8 +2,8 @@
 
 ``SwitchMLConfig.burst_epsilon`` selects the path: 0 runs the
 per-packet bodies (the executable spec, holding the tracked
-fingerprint), anything above runs the window-coalesced train path with
-the NumPy or C switch body.  The contract has two tiers:
+fingerprint), anything above runs the window-coalesced train path.  The
+contract has two tiers:
 
 * ``eps == 0`` *is* the reference: its event count, retransmissions and
   TAT on the Fig. 4 rack are pinned to the nanosecond;
@@ -24,7 +24,6 @@ condition that changes what a send body does.
 import numpy as np
 import pytest
 
-from repro.core.backend import load_switch_kernel
 from repro.core.job import SwitchMLConfig, SwitchMLJob
 from repro.net.link import LinkSpec
 from repro.net.loss import BernoulliLoss, NoLoss
@@ -58,8 +57,8 @@ def _tensors():
     ]
 
 
-def _run(eps, backend="numpy", loss=0.0, link=None, telemetry=False,
-         obs=None, check_invariants=False):
+def _run(eps, loss=0.0, link=None, telemetry=False, obs=None,
+         check_invariants=False):
     if telemetry:
         obs = Observability(
             metrics_enabled=False, tracing_enabled=False, telemetry=True
@@ -70,7 +69,6 @@ def _run(eps, backend="numpy", loss=0.0, link=None, telemetry=False,
         elements_per_packet=K,
         seed=SEED,
         burst_epsilon=eps,
-        backend=backend,
         link=link if link is not None else LinkSpec(),
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
         obs=obs,
@@ -87,7 +85,6 @@ def _run(eps, backend="numpy", loss=0.0, link=None, telemetry=False,
         "tats": [s.tensor_aggregation_time for s in res.worker_stats],
         "events": job.sim.events_processed,
         "links": job.rack.uplinks + job.rack.downlinks,
-        "backend": job.program.backend,
     }
 
 
@@ -97,21 +94,17 @@ def reference():
     return {name: _run(0.0, **cond) for name, cond in CONDITIONS.items()}
 
 
-@pytest.mark.parametrize("backend", ["numpy", "c"])
 @pytest.mark.parametrize("eps", EPSILONS)
 @pytest.mark.parametrize("name", sorted(CONDITIONS))
-def test_matrix(name, eps, backend, reference):
-    if backend == "c" and load_switch_kernel("c") is None:
-        pytest.skip("no C toolchain: compiled backend unavailable")
-    out = _run(eps, backend=backend, **CONDITIONS[name])
-    assert out["backend"] == backend
+def test_matrix(name, eps, reference):
+    out = _run(eps, **CONDITIONS[name])
     assert out["completed"]
     for w, res in enumerate(out["results"]):
         np.testing.assert_array_equal(res, out["expected"], err_msg=f"worker {w}")
     assert all(link.stats.conservation_holds() for link in out["links"])
     ref = reference[name]
     if eps == 0.0:
-        # the spec path ignores the backend: bit-identical to itself
+        # the spec path: bit-identical to itself
         assert (out["per_worker_retx"], out["tats"], out["events"]) == (
             ref["per_worker_retx"], ref["tats"], ref["events"]
         )
@@ -133,24 +126,20 @@ def test_telemetry_observes_never_steers(eps):
         assert lossy[key] == stamped[key], key
 
 
-@pytest.mark.parametrize("backend", ["numpy", "c"])
 @pytest.mark.parametrize("name", ["loss", "loss+jitter"])
-def test_spec_replay_matches_the_wide_bodies_end_to_end(name, backend):
-    """A traced or invariant-checking switch replays ``handle()`` per
-    packet where the plain run takes the NumPy/C body: same schedule,
-    to the event."""
-    if backend == "c" and load_switch_kernel("c") is None:
-        pytest.skip("no C toolchain: compiled backend unavailable")
+def test_traced_and_checked_runs_match_the_plain_run(name):
+    """The tracer and ``check_invariants`` observe the window path
+    without steering it: same schedule as the plain run, to the event."""
     cond = CONDITIONS[name]
-    wide = _run(2e-5, backend=backend, **cond)
+    plain = _run(2e-5, **cond)
     obs = Observability()
-    traced = _run(2e-5, backend=backend, obs=obs, **cond)
-    checked = _run(2e-5, backend=backend, check_invariants=True, **cond)
-    for spec in (traced, checked):
+    traced = _run(2e-5, obs=obs, **cond)
+    checked = _run(2e-5, check_invariants=True, **cond)
+    for run in (traced, checked):
         for key in ("per_worker_retx", "tats", "events"):
-            assert spec[key] == wide[key], key
-        for res in spec["results"]:
-            np.testing.assert_array_equal(res, wide["expected"])
+            assert run[key] == plain[key], key
+        for res in run["results"]:
+            np.testing.assert_array_equal(res, plain["expected"])
     assert obs.tracer.count("slot.claim") == obs.tracer.count("slot.release") > 0
 
 

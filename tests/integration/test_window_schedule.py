@@ -3,19 +3,16 @@
 ``burst_epsilon > 0`` is protocol-equivalent to the per-packet path,
 not schedule-identical (see ``test_epsilon_equivalence``), but for a
 given seed its own schedule is fixed: which frames a drain window
-holds, which of them the switch absorbs wide, and when each credit
-leaves the worker.  A change that only makes the batch bodies faster
-must leave that schedule alone.  The values below were recorded from
-an earlier revision of the window path; a change that moves them
-changes what ``eps > 0`` computes and has to re-pin them on purpose.
-
-The switch's ``BATCH_MIN`` is a pure speed setting: below it a drain
-replays the per-packet ``handle()``, at or above it the wide NumPy or
-compiled body absorbs it, with the same result either way.  Sweeping
-it from "every drain goes wide" to "no drain does" must therefore not
-move the fingerprint.  (The worker's ``_RX_BATCH_MIN`` is *not*
-schedule-invisible: sub-threshold groups send each next chunk with
-``host.send``, larger ones as one ``host.send_train``.)
+holds and when each credit leaves the worker.  A change that only
+makes the window path faster must leave that schedule alone.  The
+values below were recorded from an earlier revision of the window path,
+while the switch still had wide NumPy and compiled batch bodies beside
+``handle()``; the switch now runs ``handle()`` for every packet of a
+drain and reproduces them.  A change that moves them changes what
+``eps > 0`` computes and has to re-pin them on purpose.  (The worker's
+``_RX_BATCH_MIN`` is part of the schedule: sub-threshold groups replay
+``_on_result``, which sends each next chunk with ``host.send``, larger
+ones leave as one ``host.send_train``.)
 """
 
 import hashlib
@@ -23,9 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.backend import load_switch_kernel
 from repro.core.job import SwitchMLConfig, SwitchMLJob
-from repro.core.switch_program import SwitchMLProgram
 from repro.net.loss import BernoulliLoss
 
 #: seed -> (events processed, total retransmissions, repr(max TAT),
@@ -42,7 +37,7 @@ PINNED = {
 }
 
 
-def _fingerprint(seed: int, backend: str) -> tuple:
+def _fingerprint(seed: int) -> tuple:
     """4 workers, pool 16, k=32, 4 096 elements, 1 % loss, eps = 20 us."""
     rng = np.random.default_rng(seed)
     tensors = [rng.integers(-1000, 1000, 4096, dtype=np.int64) for _ in range(4)]
@@ -52,12 +47,10 @@ def _fingerprint(seed: int, backend: str) -> tuple:
         elements_per_packet=32,
         seed=seed,
         burst_epsilon=2e-5,
-        backend=backend,
         loss_factory=lambda: BernoulliLoss(0.01),
     ))
     res = job.all_reduce(tensors, verify=True)
     assert res.completed
-    assert job.program.backend == backend
     expected = np.sum(tensors, axis=0, dtype=np.int64)
     for w, out in enumerate(res.results):
         np.testing.assert_array_equal(out, expected, err_msg=f"worker {w}")
@@ -69,13 +62,6 @@ def _fingerprint(seed: int, backend: str) -> tuple:
     )
 
 
-@pytest.mark.parametrize(
-    "backend, batch_min",
-    [("numpy", 2), ("numpy", 16), ("numpy", 10**9), ("c", 2)],
-)
 @pytest.mark.parametrize("seed", sorted(PINNED))
-def test_window_schedule_pinned(seed, backend, batch_min, monkeypatch):
-    if backend == "c" and load_switch_kernel("c") is None:
-        pytest.skip("no C toolchain: compiled backend unavailable")
-    monkeypatch.setattr(SwitchMLProgram, "BATCH_MIN", batch_min)
-    assert _fingerprint(seed, backend) == PINNED[seed]
+def test_window_schedule_pinned(seed):
+    assert _fingerprint(seed) == PINNED[seed]

@@ -219,9 +219,7 @@ class TestSendBodiesLockstep:
     """``send_bodies`` over a train against N scalar ``send`` calls at
     the same submit times on a twin link: same per-frame arrivals and
     corruption flags, same loss/corruption/jitter draw order, same
-    ``LinkStats``, busy chain and draw cursor.  Short trains take the
-    Python loops, long clean ones the compiled kernel where a compiler
-    exists."""
+    ``LinkStats``, busy chain and draw cursor."""
 
     def _twin(self, case):
         spec, loss, observed = _LOCKSTEP[case]
@@ -246,15 +244,21 @@ class TestSendBodiesLockstep:
             "tap": link.telemetry.calls if link.telemetry else None,
         }
 
-    @pytest.mark.parametrize("n", [40, 150])
-    @pytest.mark.parametrize("case", sorted(_LOCKSTEP))
-    def test_bodies_match_scalar_sends(self, case, n):
+    def _lockstep(self, case, n, preconsume=0):
         # bursts of three share a submit time; sizes vary so the queue
-        # cap bites on some frames and not others
+        # cap bites on some frames and not others.  `preconsume` scalar
+        # sends on both twins first move the draw cursor off a block
+        # boundary.
         submits = [(i // 3) * 4e-7 for i in range(n)]
         sizes = [1250 if i % 5 else 300 for i in range(n)]
 
-        sim, link, got, seen = self._twin(case)
+        def twin():
+            sim, link, got, seen = self._twin(case)
+            for i in range(preconsume):
+                link.send(Frame(wire_bytes=100, flow_key=-1 - i))
+            return sim, link, got, seen
+
+        sim, link, got, seen = twin()
         accepted = []
         for i, (t, size) in enumerate(zip(submits, sizes)):
             frame = Frame(wire_bytes=size, flow_key=i)
@@ -264,15 +268,28 @@ class TestSendBodiesLockstep:
         sim.run()
         want = self._state(link, seen)
 
-        sim, link, _, seen = self._twin(case)
+        sim, link, _, seen = twin()
         pairs = [(t, Frame(wire_bytes=size, flow_key=i))
                  for i, (t, size) in enumerate(zip(submits, sizes))]
         records, n_accepted = link.send_bodies(pairs)
 
-        assert sorted((a, f.flow_key, f.corrupted) for a, f in records) == sorted(got)
+        assert sorted((a, f.flow_key, f.corrupted) for a, f in records) == sorted(
+            g for g in got if g[1] >= 0
+        )
         assert n_accepted == sum(accepted)
         assert self._state(link, seen) == want
-        assert want["stats"][0] == n_accepted  # something was sent at all
+        assert want["stats"][0] == n_accepted + preconsume  # something was sent
+
+    @pytest.mark.parametrize("n", [40, 150])
+    @pytest.mark.parametrize("case", sorted(_LOCKSTEP))
+    def test_bodies_match_scalar_sends(self, case, n):
+        self._lockstep(case, n)
+
+    def test_block_refill_mid_train(self):
+        # most of the draw block is spent before the train starts, so
+        # the train refills mid-sweep (twice, at 2 blocks long) exactly
+        # where per-frame draws would
+        self._lockstep("bernoulli", 2 * _BERN_BLOCK, preconsume=_BERN_BLOCK - 10)
 
 
 class TestWindow:

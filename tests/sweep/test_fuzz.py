@@ -62,17 +62,14 @@ class TestDrawGeneration:
             assert len(crashes) < draw["knobs"]["spines"]
 
     def test_flat_draws_cover_the_execution_dial(self):
-        # epsilon x backend is everything a draw says about execution
-        # shape: every epsilon on both backends, and nothing else
-        crossed = set()
+        # epsilon is everything a draw says about execution shape:
+        # every value is drawn, and no other execution knob is
+        seen = set()
         for seed in range(200):
             k = draw_scenario(seed, domains=("flat",))["knobs"]
-            crossed.add((k["burst_epsilon"], k["backend"]))
-        assert crossed == {
-            (eps, backend)
-            for eps in (0.0, 5e-6, 2e-5, 5e-5)
-            for backend in ("numpy", "c")
-        }
+            seen.add(k["burst_epsilon"])
+            assert "backend" not in k
+        assert seen == {0.0, 5e-6, 2e-5, 5e-5}
 
     def test_widest_epsilon_draw_replays_clean(self):
         # 50 us windows need a timer longer than the fuzzer's usual
@@ -94,6 +91,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("domain,knob", [
         ("flat", "granularity"), ("flat", "train_egress"), ("fabric", "train_cap"),
+        ("flat", "backend"),
     ])
     def test_retired_knob_in_a_replay_line_is_rejected(self, domain, knob):
         # a line recorded before the knob was removed must not run as if

@@ -37,13 +37,13 @@ class TestDeriveSeed:
 class TestMakeTasks:
     def test_ids_encode_scenario_grid_and_seed_index(self):
         tasks = make_tasks(
-            "fig4_lossy", 0, 2, grid={"backend": ["numpy", "c"]}
+            "fig4_lossy", 0, 2, grid={"burst_epsilon": [0.0, 2e-5]}
         )
         assert [t.task_id for t in tasks] == [
-            "fig4_lossy,backend=numpy#s0",
-            "fig4_lossy,backend=numpy#s1",
-            "fig4_lossy,backend=c#s0",
-            "fig4_lossy,backend=c#s1",
+            "fig4_lossy,burst_epsilon=0.0#s0",
+            "fig4_lossy,burst_epsilon=0.0#s1",
+            "fig4_lossy,burst_epsilon=2e-05#s0",
+            "fig4_lossy,burst_epsilon=2e-05#s1",
         ]
 
     def test_grid_product_with_shared_params(self):
