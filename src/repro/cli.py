@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli experiment fig4 --json
     python -m repro.cli allreduce --workers 8 --rate 10 --mbytes 4
     python -m repro.cli resources --pool 512
-    python -m repro.cli bench --out BENCH.json --baseline BENCH_0004.json
     python -m repro.cli obs trace --out runs/trace
     python -m repro.cli obs dashboard --scenario worker-crash
 
@@ -583,90 +582,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the performance suite, emit BENCH.json, optionally gate."""
-    from repro.perf import (
-        WORKLOADS,
-        attach_baseline,
-        check_regression,
-        format_trend,
-        load_bench,
-        load_trend,
-        profile_workload,
-        run_suite,
-        trend_table,
-        write_bench,
-    )
-
-    if args.trend:
-        docs = load_trend(args.trend_dir)
-        if not docs:
-            print(f"bench: no BENCH_*.json baselines in {args.trend_dir}",
-                  file=sys.stderr)
-            return 2
-        trend = trend_table(docs)
-        if args.json:
-            print(json.dumps(trend, indent=2))
-        else:
-            print(format_trend(trend), end="")
-        if args.out:
-            write_bench(trend, args.out)
-        return 0
-
-    names = None if args.workloads == "all" else args.workloads.split(",")
-    doc = run_suite(
-        names=names, scale=args.scale, repeats=args.repeats, label=args.label
-    )
-
-    baseline = None
-    if args.baseline:
-        baseline = load_bench(args.baseline)
-        attach_baseline(doc, baseline)
-
-    if args.out:
-        write_bench(doc, args.out)
-
-    if args.profile:
-        report = "".join(
-            profile_workload(name, scale=args.scale, top=args.profile_top)
-            for name in (names if names is not None else list(WORKLOADS))
-        )
-        if args.out:
-            prof_path = Path(args.out).with_suffix(".profile.txt")
-            prof_path.write_text(report)
-            print(f"profile written to {prof_path}")
-        else:
-            print(report)
-
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"{'workload':<14} {'wall s':>8} {'events':>9} "
-              f"{'events/s':>10} {'packets/s':>10}")
-        for name, m in doc["workloads"].items():
-            print(f"{name:<14} {m['wall_s']:>8.3f} {m['events']:>9d} "
-                  f"{m['events_per_s']:>10,.0f} {m['packets_per_s']:>10,.0f}")
-        for name, delta in doc.get("deltas", {}).items():
-            ratio = delta["events_per_s_ratio"]
-            if ratio is not None:
-                print(f"  vs baseline {name}: {ratio:.2f}x events/s")
-
-    if args.check:
-        if baseline is None:
-            print("bench: --check requires --baseline", file=sys.stderr)
-            return 2
-        failures = check_regression(
-            doc, baseline, max_regression=args.max_regression
-        )
-        for failure in failures:
-            print(f"REGRESSION {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"bench gate passed (allowed regression "
-              f"{args.max_regression:.0%})")
-    return 0
-
-
 def _parse_knob(text: str) -> tuple[str, object]:
     """``key=value`` with JSON-typed values (bare words stay strings)."""
     key, sep, raw = text.partition("=")
@@ -682,7 +597,6 @@ def _parse_knob(text: str) -> tuple[str, object]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Shard one scenario across seeds/grid points/processes."""
-    from repro.perf import write_bench
     from repro.sweep import SCENARIOS, make_tasks, run_sweep, sweep_summary
     from repro.sweep.scenarios import SCENARIO_KNOBS, check_knobs
 
@@ -719,7 +633,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     summary = sweep_summary(result, label=args.label)
     if args.summary_out:
-        write_bench(summary, args.summary_out)
+        Path(args.summary_out).write_text(
+            json.dumps(summary, indent=2) + "\n"
+        )
     if args.json:
         _emit_json(summary)
     else:
@@ -923,40 +839,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("claims", help="run the executable audit of the paper's claims")
 
-    ben = sub.add_parser(
-        "bench",
-        help="run the performance suite and emit/compare BENCH.json "
-             "(see docs/PERFORMANCE.md)",
-    )
-    ben.add_argument("--workloads", default="all",
-                     help="comma-separated workload names, or 'all'")
-    ben.add_argument("--scale", type=float, default=1.0,
-                     help="workload size multiplier (CI smoke uses 0.1)")
-    ben.add_argument("--repeats", type=int, default=3,
-                     help="runs per workload; best wall is kept")
-    ben.add_argument("--label", default="", help="free-form run label")
-    ben.add_argument("--out", default=None, help="write BENCH.json here")
-    ben.add_argument("--baseline", default=None,
-                     help="BENCH.json to compare against (e.g. BENCH_0004.json)")
-    ben.add_argument("--check", action="store_true",
-                     help="exit 1 if events/sec regresses past --max-regression")
-    ben.add_argument("--max-regression", type=float, default=0.20,
-                     help="allowed fractional events/sec drop vs baseline")
-    ben.add_argument("--json", action="store_true",
-                     help="print the full BENCH document")
-    ben.add_argument("--profile", action="store_true",
-                     help="after timing, run each workload once under "
-                          "cProfile and write the top functions next to "
-                          "--out (<out>.profile.txt) or to stdout")
-    ben.add_argument("--profile-top", type=int, default=25,
-                     help="functions per sort order in the profile dump")
-    ben.add_argument("--trend", action="store_true",
-                     help="instead of running: read the committed "
-                          "BENCH_*.json baselines and print the "
-                          "per-workload events/sec and wall trajectory")
-    ben.add_argument("--trend-dir", default=".",
-                     help="directory holding the BENCH_*.json baselines")
-
     vio = sub.add_parser(
         "violin", help="SS5.1 methodology: TAT distribution over N tensors"
     )
@@ -1084,7 +966,7 @@ def main(argv: list[str] | None = None) -> int:
                           "--grid axes expands into tasks (repeatable)")
     swp.add_argument("--label", default="", help="free-form summary label")
     swp.add_argument("--summary-out", default=None,
-                     help="write the BENCH-style sweep summary JSON here")
+                     help="write the sweep summary JSON here")
     swp.add_argument("--check", action="store_true",
                      help="exit 1 if any task failed")
     swp.add_argument("--json", action="store_true",
@@ -1169,8 +1051,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_fabric(args)
     elif args.command == "telemetry":
         return _cmd_telemetry(args)
-    elif args.command == "bench":
-        return _cmd_bench(args)
     elif args.command == "sweep":
         return _cmd_sweep(args)
     elif args.command == "fuzz":

@@ -21,7 +21,7 @@ it in three layers:
     The orchestrator: shards tasks across worker processes, streams
     each finished task into a single append-only JSONL artifact, and
     resumes partially completed sweeps by skipping task ids already in
-    the artifact.  Emits a BENCH-style summary document.
+    the artifact.  Emits a ``repro-sweep/1`` summary document.
 
 :mod:`repro.sweep.fuzz`
     The scenario fuzzer: composes random :class:`FaultPlan` /

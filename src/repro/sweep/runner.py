@@ -29,7 +29,11 @@ from typing import Any, Callable
 
 from repro.sweep.tasks import TaskSpec
 
+#: schema tag of the :func:`sweep_summary` document
+SWEEP_SCHEMA = "repro-sweep/1"
+
 __all__ = [
+    "SWEEP_SCHEMA",
     "SweepResult",
     "execute_task",
     "load_artifact",
@@ -88,6 +92,15 @@ def load_artifact(path: str | Path) -> dict[str, dict[str, Any]]:
     return records
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Cut a partial final line back to the last newline, so the next
+    appended record starts on a line of its own."""
+    with path.open("rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
+
+
 @dataclass
 class SweepResult:
     """Everything a sweep produced, plus how it got there."""
@@ -135,6 +148,10 @@ def run_sweep(
 
     done: dict[str, dict[str, Any]] = {}
     if resume and artifact is not None:
+        # before reading, so a record that lost only its newline is
+        # re-run rather than counted as done and then cut away
+        if Path(artifact).exists():
+            _drop_torn_tail(Path(artifact))
         for tid, rec in load_artifact(artifact).items():
             spec = by_id.get(tid)
             if spec is None:
@@ -157,8 +174,7 @@ def run_sweep(
         path = Path(artifact)
         path.parent.mkdir(parents=True, exist_ok=True)
         # resume appends below the kept records; a fresh sweep truncates
-        mode = "a" if resume else "w"
-        out_fh = path.open(mode)
+        out_fh = path.open("a" if resume else "w")
 
     def _commit(rec: dict[str, Any]) -> None:
         result.records[rec["task_id"]] = rec
@@ -193,16 +209,11 @@ def run_sweep(
 
 
 def sweep_summary(result: SweepResult, label: str = "") -> dict[str, Any]:
-    """A BENCH-style summary document for one sweep.
+    """The ``--summary-out`` document for one sweep (:data:`SWEEP_SCHEMA`).
 
-    Per-scenario aggregates ride in ``workloads`` (so the doc reads
-    like BENCH.json), per-task records in ``tasks``; see
-    :data:`repro.perf.harness.SWEEP_SCHEMA`.
+    Per-scenario aggregates ride in ``workloads``, per-task records in
+    ``tasks``.
     """
-    # imported late: harness pulls in the workload zoo, which sweeps
-    # themselves never need
-    from repro.perf.harness import SWEEP_SCHEMA
-
     per_scenario: dict[str, dict[str, Any]] = {}
     for tid in sorted(result.records):
         rec = result.records[tid]

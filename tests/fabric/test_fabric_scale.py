@@ -60,7 +60,7 @@ class Test512WorkerClos:
 
     def test_clean_512_phantom_run_completes(self):
         job = make_job(seed=1)
-        res = job.all_reduce(num_elements=32 * 1024, deadline_s=10.0)
+        res = job.all_reduce(num_elements=N_ELEM, deadline_s=10.0)
         assert res.completed
         assert not res.reroutes
         assert res.epoch == 0

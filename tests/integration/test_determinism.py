@@ -1,13 +1,9 @@
-"""The performance machinery must not change simulation results.
-
-Acceptance gates for the engine/packet-path overhaul:
+"""Engine and packet-path choices must not change simulation results.
 
 * the timer wheel vs. the legacy heap produce identical simulations --
   event order (via trace ticks and event counts), final tensors, stats;
 * the zero-copy buffer-reuse paths (worker freelists, pooled switch
-  multicast) vs. fresh allocations likewise;
-* the benchmark harness emits a schema-complete BENCH document and its
-  regression gate trips exactly on real regressions.
+  multicast) vs. fresh allocations likewise.
 """
 
 from __future__ import annotations
@@ -84,66 +80,3 @@ class TestBufferReuseEquivalence:
         on_fp = _fingerprint(*_run("wheel", reuse=True, loss=loss))
         off_fp = _fingerprint(*_run("wheel", reuse=False, loss=loss))
         assert on_fp == off_fp
-
-
-class TestHarness:
-    def test_bench_document_schema(self):
-        from repro.perf import SCHEMA, run_suite
-
-        doc = run_suite(names=["fig4_lossy"], scale=0.01, repeats=1)
-        assert doc["schema"] == SCHEMA
-        m = doc["workloads"]["fig4_lossy"]
-        for key in ("wall_s", "events", "events_per_s", "packets",
-                    "packets_per_s", "extra"):
-            assert key in m
-        assert m["events"] > 0
-        assert m["events_per_s"] > 0
-        assert m["extra"]["completed"] is True
-
-    def test_engine_churn_runs(self):
-        from repro.perf import run_workload
-
-        m = run_workload("engine_churn", scale=0.05)
-        assert m["events"] > 0
-        assert m["packets"] == 0
-
-    def test_regression_gate(self):
-        from repro.perf import check_regression
-
-        def doc(rate):
-            return {
-                "schema": "repro-bench/1",
-                "workloads": {"fig4_lossy": {
-                    "wall_s": 1.0, "events": 1000, "events_per_s": rate,
-                    "packets": 10, "packets_per_s": 10.0, "extra": {},
-                }},
-            }
-
-        assert check_regression(doc(100.0), doc(100.0)) == []
-        assert check_regression(doc(85.0), doc(100.0)) == []   # within 20%
-        failures = check_regression(doc(70.0), doc(100.0))
-        assert len(failures) == 1 and "fig4_lossy" in failures[0]
-        # tightening the tolerance trips the borderline case
-        assert check_regression(doc(85.0), doc(100.0), max_regression=0.1)
-
-    def test_bench_json_round_trip(self, tmp_path):
-        from repro.perf import attach_baseline, load_bench, run_suite, write_bench
-
-        doc = run_suite(names=["engine_churn"], scale=0.02, repeats=1)
-        base = run_suite(names=["engine_churn"], scale=0.02, repeats=1)
-        attach_baseline(doc, base)
-        assert "engine_churn" in doc["deltas"]
-        path = tmp_path / "BENCH.json"
-        write_bench(doc, path)
-        loaded = load_bench(path)
-        assert loaded == doc
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        import json
-
-        from repro.perf import load_bench
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope"}))
-        with pytest.raises(ValueError):
-            load_bench(path)

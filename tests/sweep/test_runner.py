@@ -100,6 +100,11 @@ class TestResume:
         assert len(resumed.ran) == 1
         assert len(resumed.skipped) == len(tasks) - 1
         assert resumed.ok
+        # the re-run record starts on its own line, not on the fragment
+        assert set(load_artifact(art)) == {t.task_id for t in tasks}
+        again = run_sweep(tasks, artifact=art, resume=True)
+        assert again.ran == []
+        assert len(again.skipped) == len(tasks)
 
     def test_root_seed_mismatch_refused(self, tmp_path):
         art = tmp_path / "sweep.jsonl"
