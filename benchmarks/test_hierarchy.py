@@ -4,41 +4,46 @@ The paper sketches but cannot test this ("we are unable to test this
 approach due to testbed limitations").  The simulator can: we verify the
 bandwidth-optimality claim -- each rack uplink carries one worker's
 worth of traffic regardless of rack size -- and that loss recovery
-composes across layers.
+composes across layers.  The tree is a one-spine fabric: racks are the
+leaves and the spine is the root.
 """
 
 import numpy as np
 from conftest import once
 
-from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
 from repro.harness.report import format_table
+from repro.net.fabric import FabricConfig, FabricJob
 from repro.net.loss import BernoulliLoss
 
 
 def run_hierarchy():
     rows = []
     for workers_per_rack in (2, 4, 8):
-        job = HierarchicalJob(
-            HierarchicalConfig(
-                num_racks=2, workers_per_rack=workers_per_rack, pool_size=16,
+        job = FabricJob(
+            FabricConfig(
+                num_leaves=2, num_spines=1, workers_per_leaf=workers_per_rack,
+                pool_size=16,
             )
         )
         n = 2 * workers_per_rack
         tensors = [np.full(32 * 16 * 6, w, dtype=np.int64) for w in range(n)]
         out = job.all_reduce(tensors)
+        leaf = job.fabric.leaves[0]
         rows.append(
             {
                 "workers_per_rack": workers_per_rack,
                 "completed": out.completed,
                 "tat_s": out.max_tat,
-                "uplink_frames": out.uplink_frames[0],
-                "worker_frames": out.worker_uplink_frames[0],
+                "uplink_frames": leaf.uplinks[0].stats.frames_sent,
+                "worker_frames": leaf.host_uplinks[0].stats.frames_sent,
+                # trunk beacons would share the uplink with the partials
+                "beacons": job.controller.probes_sent,
             }
         )
 
-    lossy = HierarchicalJob(
-        HierarchicalConfig(
-            num_racks=3, workers_per_rack=3, pool_size=8,
+    lossy = FabricJob(
+        FabricConfig(
+            num_leaves=3, num_spines=1, workers_per_leaf=3, pool_size=8,
             loss_factory=lambda: BernoulliLoss(0.005), seed=9,
         )
     )
@@ -75,6 +80,7 @@ def test_hierarchy_scaling(benchmark, show):
 
     for r in rows:
         assert r["completed"]
+        assert r["beacons"] == 0  # every uplink frame is a partial
         # uplink carries one worker's worth of frames -- NOT rack_size x
         assert r["uplink_frames"] == r["worker_frames"]
     assert lossy_out.completed  # loss recovery composes across layers

@@ -7,31 +7,36 @@ root switch -- runs an all-reduce across all twelve workers, and checks
 the bandwidth-optimality claim: every rack uplink carries exactly one
 worker's worth of frames, regardless of how many workers sit below it.
 
+The tree is a one-spine Clos: the leaves are the racks and the spine is
+the root.  The fabric controller's liveness beacons share each trunk
+with the aggregation stream, so they are counted out of the uplink cost.
+
 Run:  python examples/multirack_hierarchy.py
 """
 
 import numpy as np
 
-from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
+from repro.net.fabric import FabricConfig, FabricJob
 from repro.net.loss import BernoulliLoss
 
 
 def main() -> None:
-    cfg = HierarchicalConfig(
-        num_racks=3,
-        workers_per_rack=4,
+    cfg = FabricConfig(
+        num_leaves=3,
+        num_spines=1,
+        workers_per_leaf=4,
         pool_size=32,
         loss_factory=lambda: BernoulliLoss(0.002),  # loss on every link
         seed=5,
     )
-    job = HierarchicalJob(cfg)
-    n = cfg.num_racks * cfg.workers_per_rack
+    job = FabricJob(cfg)
+    n = cfg.num_workers
 
     rng = np.random.default_rng(0)
     tensors = [
         rng.integers(-500, 500, 32 * 32 * 12).astype(np.int64) for _ in range(n)
     ]
-    print(f"aggregating across {cfg.num_racks} racks x {cfg.workers_per_rack} "
+    print(f"aggregating across {cfg.num_leaves} racks x {cfg.workers_per_leaf} "
           f"workers (loss on every link: 0.2%) ...")
     out = job.all_reduce(tensors)  # verify=True inside
 
@@ -39,19 +44,29 @@ def main() -> None:
     print(f"TAT {out.max_tat * 1e3:.3f} ms; worker retransmissions: "
           f"{out.retransmissions}")
 
-    per_worker = out.worker_uplink_frames[0]
+    # One worker's stream and each rack's partial stream, first
+    # transmissions only: loss recovery resends on both sides.
+    worker = out.worker_stats[0]
+    per_worker = worker.packets_sent - worker.retransmissions
+    beacons = job.controller.probes_sent
     print("\nbandwidth optimality (SS6):")
-    print(f"  frames sent by one worker          : {per_worker}")
-    for r, frames in enumerate(out.uplink_frames):
-        print(f"  frames on rack{r} -> root uplink     : {frames} "
-              f"({frames / per_worker:.2f}x one worker)")
+    print(f"  {'packets sent by one worker':<28}: {per_worker} "
+          f"(+{worker.retransmissions} retransmitted)")
+    for leaf, prog in zip(job.fabric.leaves, job.leaf_programs):
+        trunk = leaf.uplinks[0]
+        print(f"  {'partials up ' + trunk.name:<28}: "
+              f"{prog.partials_forwarded} "
+              f"({prog.partials_forwarded / per_worker:.2f}x one worker)")
+        print(f"    trunk frames {trunk.stats.frames_sent} = "
+              f"{prog.partials_forwarded} partials "
+              f"+ {prog.partial_retransmits} re-forwarded "
+              f"+ {beacons} controller beacons")
     print("each uplink carries ONE aggregate stream, not one per worker --")
     print("the cost is proportional to the number of upstream ports, not n.")
 
-    for r, prog in enumerate(job.rack_programs):
-        print(f"  rack{r}: partials forwarded {prog.partials_forwarded}, "
-              f"re-forwarded {prog.partial_retransmits}, "
-              f"unicast replies {prog.unicast_replies}")
+    for leaf, prog in zip(job.fabric.leaves, job.leaf_programs):
+        print(f"  {leaf.switch.name}: {prog.unicast_replies} results re-served "
+              f"to workers whose copy was lost")
 
 
 if __name__ == "__main__":

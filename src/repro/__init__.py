@@ -21,8 +21,6 @@ True
 from repro.api import FloatAllReduceResult, allreduce_float
 from repro.core import (
     AllReduceResult,
-    HierarchicalConfig,
-    HierarchicalJob,
     MultiTenantRack,
     PoolAllocator,
     LosslessSwitchMLProgram,
@@ -41,8 +39,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AllReduceResult",
     "FloatAllReduceResult",
-    "HierarchicalConfig",
-    "HierarchicalJob",
     "MultiTenantRack",
     "PoolAllocator",
     "allreduce_float",

@@ -17,13 +17,12 @@
 * :mod:`repro.core.job` -- end-to-end jobs: builds a simulated rack,
   wires workers and the switch program together, runs all-reduce, and
   reports TAT / traces / statistics.
-* :mod:`repro.core.hierarchy` -- the SS6 multi-rack hierarchical
-  composition.
+* :mod:`repro.core.hierarchy` -- the SS6 rack-switch program; a tree of
+  racks runs as a one-spine :class:`repro.net.fabric.FabricJob`.
 """
 
 from repro.core.aggregator_device import AggregatorDeviceConfig, AggregatorDeviceJob
 from repro.core.fp16_program import Float16SwitchMLProgram
-from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
 from repro.core.job import AllReduceResult, SwitchMLConfig, SwitchMLJob
 from repro.core.tenancy import AdmissionError, MultiTenantRack, PoolAllocator
 from repro.core.packet import SwitchMLPacket
@@ -42,8 +41,6 @@ __all__ = [
     "AggregatorDeviceJob",
     "Float16SwitchMLProgram",
     "AllReduceResult",
-    "HierarchicalConfig",
-    "HierarchicalJob",
     "MultiTenantRack",
     "PoolAllocator",
     "LosslessSwitchMLProgram",

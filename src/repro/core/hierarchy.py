@@ -1,4 +1,5 @@
-"""Multi-rack hierarchical aggregation (SS6 "Scaling beyond a rack").
+"""The rack-switch program of multi-rack aggregation (SS6 "Scaling
+beyond a rack").
 
 The paper sketches composing SwitchML switches into a tree: workers
 attach to rack (layer-1) switches; each rack switch aggregates its ``d``
@@ -7,6 +8,11 @@ the root completes the aggregation and multicasts downward; rack
 switches fan the result out to their workers.  The uplink bandwidth cost
 is proportional to the number of upstream ports, not the worker count --
 the bandwidth-optimality claim the hierarchy tests verify.
+
+The tree is a one-spine Clos: :class:`repro.net.fabric.FabricJob` with
+``num_spines=1`` runs this program on every leaf and plain Algorithm 3
+(:class:`~repro.core.switch_program.SwitchMLProgram`) on the spine,
+which is the tree's root.
 
 Loss recovery composes exactly as SS6 argues: each layer keeps the
 ``seen`` bitmap and shadow copy of Algorithm 3, so a worker
@@ -28,30 +34,14 @@ Per-slot state machine at a rack switch (per pool version):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
-
 from repro.core.packet import SwitchMLPacket
 from repro.core.protocol import DROP_DECISION as _DROP
-from repro.core.switch_program import SwitchAction, SwitchDecision, SwitchMLProgram
-from repro.core.worker import SwitchMLWorker, WorkerStats
+from repro.core.switch_program import SwitchAction, SwitchDecision
 from repro.dataplane.registers import RegisterFile
-from repro.net.host import Host, HostSpec
-from repro.net.link import Link, LinkSpec
-from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Frame
-from repro.net.switchchassis import PortDecision, SwitchChassis
-from repro.net.topology import TreeSpec, build_tree
-from repro.sim.engine import Simulator
 
-__all__ = ["HierarchicalConfig", "HierarchicalJob", "RackAggregatorProgram", "TreeResult"]
+__all__ = ["RackAggregatorProgram"]
 
 _AGGREGATING, _FORWARDED, _DONE = 0, 1, 2
-
-#: the chassis' shared drop decision, resolved once (process() runs per frame)
-_PORT_DROP = PortDecision.drop()
 
 
 class RackAggregatorProgram:
@@ -209,272 +199,3 @@ class RackAggregatorProgram:
         self._state.accesses += 2
         self.results_multicast += 1
         return SwitchDecision(SwitchAction.MULTICAST, p.result_copy(p.vector))
-
-
-class _RackDataplane:
-    """Chassis adapter for a rack switch: down-ports 0..m-1, uplink m."""
-
-    def __init__(
-        self,
-        program: RackAggregatorProgram,
-        num_children: int,
-        child_names: list[str],
-        uplink_port: int,
-        parent_name: str,
-        switch_name: str,
-        bytes_per_element: int = 4,
-    ):
-        self.program = program
-        self.num_children = num_children
-        self.child_names = child_names
-        self.uplink_port = uplink_port
-        self.parent_name = parent_name
-        self.switch_name = switch_name
-        self.bytes_per_element = bytes_per_element
-
-    def process(self, frame: Frame, in_port: int) -> PortDecision:
-        packet = frame.message
-        if not isinstance(packet, SwitchMLPacket):
-            return _PORT_DROP
-        if in_port == self.uplink_port:
-            decision = self.program.handle_result(packet)
-            if decision.action is SwitchAction.MULTICAST:
-                assert decision.packet is not None
-                return PortDecision(
-                    deliveries=[
-                        (
-                            port,
-                            decision.packet.to_frame(
-                                self.switch_name,
-                                self.child_names[port],
-                                self.bytes_per_element,
-                            ),
-                        )
-                        for port in range(self.num_children)
-                    ]
-                )
-            return _PORT_DROP
-
-        decision = self.program.handle_child(packet)
-        if decision.action is SwitchAction.MULTICAST:
-            # "multicast" from handle_child means: forward partial upstream.
-            assert decision.packet is not None
-            out = decision.packet.to_frame(
-                self.switch_name, self.parent_name, self.bytes_per_element
-            )
-            return PortDecision(deliveries=[(self.uplink_port, out)])
-        if decision.action is SwitchAction.UNICAST:
-            assert decision.packet is not None and decision.unicast_wid is not None
-            out = decision.packet.to_frame(
-                self.switch_name,
-                self.child_names[decision.unicast_wid],
-                self.bytes_per_element,
-            )
-            return PortDecision(deliveries=[(decision.unicast_wid, out)])
-        return _PORT_DROP
-
-
-class _RootDataplane:
-    """Chassis adapter for the root: Algorithm 3 over the rack switches."""
-
-    def __init__(
-        self,
-        program: SwitchMLProgram,
-        rack_names: list[str],
-        switch_name: str = "root",
-        bytes_per_element: int = 4,
-    ):
-        self.program = program
-        self.rack_names = rack_names
-        self.switch_name = switch_name
-        self.bytes_per_element = bytes_per_element
-
-    def process(self, frame: Frame, in_port: int) -> PortDecision:
-        packet = frame.message
-        if not isinstance(packet, SwitchMLPacket) or packet.from_switch:
-            return _PORT_DROP
-        decision = self.program.handle(packet)
-        if decision.action is SwitchAction.DROP:
-            return _PORT_DROP
-        assert decision.packet is not None
-        if decision.action is SwitchAction.UNICAST:
-            rack = decision.unicast_wid
-            assert rack is not None
-            out = decision.packet.to_frame(
-                self.switch_name, self.rack_names[rack], self.bytes_per_element
-            )
-            return PortDecision(deliveries=[(rack, out)])
-        return PortDecision(
-            deliveries=[
-                (
-                    rack,
-                    decision.packet.to_frame(
-                        self.switch_name, name, self.bytes_per_element
-                    ),
-                )
-                for rack, name in enumerate(self.rack_names)
-            ]
-        )
-
-
-@dataclass
-class HierarchicalConfig:
-    """A two-layer tree: ``num_racks`` racks of ``workers_per_rack``."""
-
-    num_racks: int = 2
-    workers_per_rack: int = 4
-    pool_size: int = 32
-    elements_per_packet: int = 32
-    timeout_s: float = 1e-3
-    link: LinkSpec = field(default_factory=LinkSpec)
-    host: HostSpec = field(default_factory=HostSpec)
-    pipeline_latency_s: float = 800e-9
-    loss_factory: type[NoLoss] | object = NoLoss
-    seed: int = 0
-
-
-@dataclass
-class TreeResult:
-    """Outcome of a hierarchical all-reduce."""
-
-    completed: bool
-    worker_stats: list[WorkerStats]
-    results: list[np.ndarray | None]
-    uplink_frames: list[int]
-    worker_uplink_frames: list[int]
-    retransmissions: int
-
-    @property
-    def max_tat(self) -> float:
-        return max(s.tensor_aggregation_time for s in self.worker_stats)
-
-
-class HierarchicalJob:
-    """Build and run the two-layer SS6 tree end to end."""
-
-    def __init__(self, config: HierarchicalConfig | None = None):
-        self.config = config if config is not None else HierarchicalConfig()
-        cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
-        loss_factory = cfg.loss_factory
-        make_loss = loss_factory if callable(loss_factory) else NoLoss
-
-        self.tree = build_tree(
-            self.sim,
-            TreeSpec(
-                num_racks=cfg.num_racks,
-                hosts_per_rack=cfg.workers_per_rack,
-                link=cfg.link,
-                host=cfg.host,
-                pipeline_latency_s=cfg.pipeline_latency_s,
-                loss_factory=make_loss,
-            ),
-        )
-        self.root = self.tree.root
-        self.root_program = SwitchMLProgram(
-            cfg.num_racks, cfg.pool_size, cfg.elements_per_packet
-        )
-        rack_names = [rack.switch.name for rack in self.tree.racks]
-        self.root.load_program(
-            _RootDataplane(self.root_program, rack_names)
-        )
-
-        self.rack_switches: list[SwitchChassis] = []
-        self.rack_programs: list[RackAggregatorProgram] = []
-        self.workers: list[SwitchMLWorker] = []
-        self.hosts: list[Host] = []
-        self.rack_uplinks: list[Link] = []
-        self.worker_uplinks: list[Link] = []
-        self._completed: set[int] = set()
-
-        m = cfg.workers_per_rack
-        for r, rack in enumerate(self.tree.racks):
-            program = RackAggregatorProgram(
-                rack_id=r, num_children=m,
-                pool_size=cfg.pool_size,
-                elements_per_packet=cfg.elements_per_packet,
-            )
-            for c, host in enumerate(rack.hosts):
-                gwid = r * m + c
-                worker = SwitchMLWorker(
-                    sim=self.sim, host=host, wid=c,
-                    num_workers=m, pool_size=cfg.pool_size,
-                    elements_per_packet=cfg.elements_per_packet,
-                    timeout_s=cfg.timeout_s,
-                    on_complete=self._make_on_complete(gwid),
-                    switch_addr=rack.switch.name,
-                )
-                host.attach_agent(worker)
-                self.hosts.append(host)
-                self.workers.append(worker)
-                self.worker_uplinks.append(rack.host_uplinks[c])
-            rack.switch.load_program(
-                _RackDataplane(
-                    program, m, [h.name for h in rack.hosts],
-                    rack.uplink_port, self.root.name, rack.switch.name,
-                )
-            )
-            self.rack_switches.append(rack.switch)
-            self.rack_programs.append(program)
-            self.rack_uplinks.append(rack.uplink)
-
-    def _make_on_complete(self, gwid: int):
-        def on_complete(local_wid: int, time: float) -> None:
-            self._completed.add(gwid)
-
-        return on_complete
-
-    # ------------------------------------------------------------------
-    def all_reduce(
-        self,
-        tensors: Sequence[np.ndarray],
-        deadline_s: float = 120.0,
-        verify: bool = True,
-    ) -> TreeResult:
-        """Aggregate one tensor per worker across the whole tree."""
-        cfg = self.config
-        n = cfg.num_racks * cfg.workers_per_rack
-        if len(tensors) != n:
-            raise ValueError(f"need {n} tensors, got {len(tensors)}")
-        k = cfg.elements_per_packet
-        sizes = {len(t) for t in tensors}
-        if len(sizes) != 1:
-            raise ValueError("all workers must contribute equal-length tensors")
-        original = sizes.pop()
-        pad = (-original) % k
-        padded = [
-            np.concatenate([np.asarray(t, dtype=np.int64), np.zeros(pad, np.int64)])
-            if pad
-            else np.asarray(t, dtype=np.int64)
-            for t in tensors
-        ]
-
-        self._completed.clear()
-        base = self.sim.now
-        for worker, tensor in zip(self.workers, padded):
-            self.sim.schedule_at(base, worker.start, tensor)
-        deadline = base + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
-        completed = len(self._completed) == n
-
-        results = [
-            w.result[:original].copy() if w.result is not None else None
-            for w in self.workers
-        ]
-        if verify and completed:
-            expected = np.sum(padded, axis=0, dtype=np.int64)[:original]
-            for gwid, res in enumerate(results):
-                if res is None or not np.array_equal(res, expected):
-                    raise AssertionError(
-                        f"worker {gwid} tree aggregate differs from the exact sum"
-                    )
-        return TreeResult(
-            completed=completed,
-            worker_stats=[w.stats for w in self.workers],
-            results=results,
-            uplink_frames=[l.stats.frames_sent for l in self.rack_uplinks],
-            worker_uplink_frames=[l.stats.frames_sent for l in self.worker_uplinks],
-            retransmissions=sum(w.stats.retransmissions for w in self.workers),
-        )

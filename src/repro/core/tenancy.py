@@ -184,7 +184,7 @@ class PoolAllocator:
             raise AdmissionError(
                 f"{num_workers} workers exceed a pipeline's "
                 f"{self.pipeline.ports_per_pipeline} ports; compose "
-                "hierarchically instead (SS6)"
+                "racks with repro.net.fabric.FabricJob instead (SS6)"
             )
         placement = self._find_pipeline(report.total_sram_bytes, num_workers)
         if placement is None:

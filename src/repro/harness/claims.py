@@ -149,15 +149,23 @@ def _loss_inflation_modest_vs_tcp() -> bool:
 
 
 def _hierarchy_uplink_cost() -> bool:
-    from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
+    from repro.net.fabric import FabricConfig, FabricJob
 
-    job = HierarchicalJob(
-        HierarchicalConfig(num_racks=2, workers_per_rack=4, pool_size=8)
+    # The SS6 tree is the one-spine Clos.  The run ends before the first
+    # trunk beacon, so every frame up a trunk is aggregation traffic.
+    job = FabricJob(
+        FabricConfig(num_leaves=2, num_spines=1, workers_per_leaf=4, pool_size=8)
     )
     tensors = [np.ones(32 * 8 * 3, dtype=np.int64) for _ in range(8)]
     out = job.all_reduce(tensors)
-    return out.completed and all(
-        frames == out.worker_uplink_frames[0] for frames in out.uplink_frames
+    worker_frames = job.fabric.leaves[0].host_uplinks[0].stats.frames_sent
+    return (
+        out.completed
+        and job.controller.probes_sent == 0
+        and all(
+            leaf.uplinks[0].stats.frames_sent == worker_frames
+            for leaf in job.fabric.leaves
+        )
     )
 
 

@@ -1,8 +1,9 @@
 """Network substrate: frames, links, hosts, and the switch chassis.
 
 This package models the paper's testbed network -- a single rack of
-workers star-connected to one programmable switch (and, for SS6, a
-hierarchy of racks) -- at packet granularity:
+workers star-connected to one programmable switch -- at packet
+granularity.  Multi-switch layouts, the SS6 tree of racks included (a
+one-spine Clos), live in :mod:`repro.net.fabric`:
 
 * :mod:`repro.net.packet` -- wire frames and size accounting.  The paper's
   numbers (180-byte SwitchML frames carrying 128 B of payload, 28.9 %
@@ -19,8 +20,8 @@ hierarchy of racks) -- at packet granularity:
   pipeline slot for a dataplane program, and a traffic manager that
   performs multicast replication (paper SS4: "the traffic manager
   duplicates the packet ... and performs a multicast").
-* :mod:`repro.net.topology` -- builders for the single-rack star and the
-  multi-rack hierarchy.
+* :mod:`repro.net.topology` -- the single-rack star builder and the
+  host/trunk wiring primitives the fabric builder shares.
 """
 
 from repro.net.host import Host, HostSpec
@@ -46,12 +47,8 @@ from repro.net.switchchassis import PortDecision, SwitchChassis
 from repro.net.topology import (
     Rack,
     RackSpec,
-    Tree,
-    TreeRack,
-    TreeSpec,
     attach_host,
     build_rack,
-    build_tree,
     connect_switches,
 )
 
@@ -74,12 +71,8 @@ __all__ = [
     "SWITCHML_HEADER_BYTES",
     "ScriptedLoss",
     "SwitchChassis",
-    "Tree",
-    "TreeRack",
-    "TreeSpec",
     "attach_host",
     "build_rack",
-    "build_tree",
     "connect_switches",
     "elements_per_packet",
     "frame_bytes_for_elements",

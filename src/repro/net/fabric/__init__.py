@@ -1,10 +1,10 @@
 """repro.net.fabric: multi-switch Clos fabrics with a fabric controller.
 
-The scale-out layer beyond a single rack (and beyond the SS6 tree): a
-generated 2-tier spine-leaf fabric, two-tier in-network aggregation with
-per-switch slot pools, and an SDN-style controller doing discovery,
-ECMP-style placement, per-trunk liveness, and reroute-on-failure through
-the pool-epoch fence.
+The scale-out layer beyond a single rack: a generated 2-tier
+spine-leaf fabric (with one spine, the SS6 tree of racks), two-tier
+in-network aggregation with per-switch slot pools, and an SDN-style
+controller doing discovery, ECMP-style placement, per-trunk liveness,
+and reroute-on-failure through the pool-epoch fence.
 
 * :mod:`repro.net.fabric.topology`   -- :func:`build_fabric` and the specs
 * :mod:`repro.net.fabric.dataplane`  -- leaf/spine chassis programs

@@ -25,7 +25,7 @@ An SDN-style controller for the 2-tier Clos of
 
 State machine: ``MONITORING`` -> (active spine unhealthy) ->
 ``REROUTING`` -> ``MONITORING`` (survivor found) or ``FAILED`` (spine
-tier exhausted; the run reports ``completed=False``).
+tier exhausted; the run stops there and reports ``completed=False``).
 """
 
 from __future__ import annotations
@@ -165,6 +165,13 @@ class FabricController:
         self._seq = 0
         self._probe_timer = None
         self._sweep_timer = None
+
+    @property
+    def probes_sent(self) -> int:
+        """Beacon rounds emitted so far.  Each round put one beacon on
+        every trunk uplink, so a trunk's aggregation frames are its
+        ``frames_sent`` minus this."""
+        return self._seq
 
     # ------------------------------------------------------------------
     # Discovery & path selection
@@ -386,6 +393,9 @@ class FabricController:
             self._tracer.emit(
                 "fabric.failed", ts=now, cat="fabric", from_spine=old
             )
+            # Nothing can complete any more: end the run here instead of
+            # beaconing out the rest of the deadline.
+            self.sim.stop()
             return
         # load-aware when a telemetry hub is live (break the ECMP tie
         # toward the least-loaded survivor); pure hash-ECMP otherwise

@@ -9,6 +9,9 @@ every leaf, Algorithm 3 on the ECMP-selected spine -- and run workers to
 completion under the :class:`~repro.net.fabric.controller.FabricController`'s
 supervision.
 
+With ``num_spines=1`` the Clos is the SS6 tree: racks (leaves) under one
+root (the spine), each rack forwarding one partial stream upstream.
+
 Aggregation placement: the job's slot pool lives on exactly one spine at
 a time (the *active* spine); every leaf's partials are routed up that
 trunk.  A reroute moves the pool: lease renewed (epoch + 1), fresh leaf

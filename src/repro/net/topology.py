@@ -1,5 +1,5 @@
-"""Topology builders: the single-rack star, multi-rack trees, and the
-low-level wiring helpers every multi-switch layout shares.
+"""Topology builders: the single-rack star and the low-level wiring
+helpers every multi-switch layout shares.
 
 The paper's deployment (SS5.1) is a rack: every worker has one cable to
 the programmable ToR switch.  :func:`build_rack` wires that up --
@@ -7,8 +7,8 @@ per-worker uplink and downlink links, each with its own loss model
 instance (the paper injects loss "on every link") and its own RNG
 substream.
 
-SS6 composes racks into a tree, and :mod:`repro.net.fabric` composes
-leaves and spines into a Clos; both build on the same two primitives
+:mod:`repro.net.fabric` composes leaves and spines into a Clos -- the
+SS6 tree of racks is its one-spine case -- on the same two primitives
 here rather than re-implementing the wiring:
 
 * :func:`attach_host` -- one host, one switch port, both cable
@@ -34,12 +34,8 @@ from repro.sim.engine import Simulator
 __all__ = [
     "Rack",
     "RackSpec",
-    "Tree",
-    "TreeRack",
-    "TreeSpec",
     "attach_host",
     "build_rack",
-    "build_tree",
     "connect_switches",
 ]
 
@@ -194,129 +190,3 @@ def build_rack(sim: Simulator, spec: RackSpec) -> Rack:
         downlinks.append(downlink)
 
     return Rack(sim=sim, switch=switch, hosts=hosts, uplinks=uplinks, downlinks=downlinks)
-
-
-# ----------------------------------------------------------------------
-# Two-layer trees (SS6): racks under one root switch
-# ----------------------------------------------------------------------
-
-@dataclass
-class TreeSpec:
-    """A two-layer aggregation tree: ``num_racks`` racks of
-    ``hosts_per_rack`` hosts under a single root switch.
-
-    Rack switch ``r`` is named ``{rack_name_prefix}{r}``; its hosts
-    occupy ports ``0..m-1`` and its uplink to the root occupies port
-    ``m`` (``m = hosts_per_rack``).  Root port ``r`` faces rack ``r``.
-    Hosts are numbered globally: host ``c`` of rack ``r`` is
-    ``{host_name_prefix}{r*m + c}``.
-    """
-
-    num_racks: int = 2
-    hosts_per_rack: int = 4
-    link: LinkSpec = field(default_factory=LinkSpec)
-    host: HostSpec = field(default_factory=HostSpec)
-    pipeline_latency_s: float = 800e-9
-    loss_factory: Callable[[], LossModel] = NoLoss
-    root_name: str = "root"
-    rack_name_prefix: str = "rack"
-    host_name_prefix: str = "w"
-
-
-@dataclass
-class TreeRack:
-    """One built rack of a tree: the switch, its hosts, and its trunk."""
-
-    index: int
-    switch: SwitchChassis
-    hosts: list[Host]
-    host_uplinks: list[Link]
-    host_downlinks: list[Link]
-    uplink: Link  # rack -> root
-    downlink: Link  # root -> rack
-    uplink_port: int  # port on the rack switch facing the root
-
-
-@dataclass
-class Tree:
-    """A built two-layer tree.  Programs and agents are the caller's."""
-
-    sim: Simulator
-    root: SwitchChassis
-    racks: list[TreeRack]
-
-    @property
-    def hosts(self) -> list[Host]:
-        """All hosts in global id order."""
-        return [h for rack in self.racks for h in rack.hosts]
-
-    def all_links(self) -> list[Link]:
-        links: list[Link] = []
-        for rack in self.racks:
-            links.extend(rack.host_uplinks)
-            links.extend(rack.host_downlinks)
-            links.append(rack.uplink)
-            links.append(rack.downlink)
-        return links
-
-    def conservation_holds(self) -> bool:
-        return all(l.stats.conservation_holds() for l in self.all_links())
-
-
-def build_tree(sim: Simulator, spec: TreeSpec) -> Tree:
-    """Instantiate the root, the rack switches, and every cable.
-
-    The caller loads dataplane programs into ``tree.root`` and each
-    ``rack.switch`` and attaches agents to the hosts -- same contract as
-    :func:`build_rack`.
-    """
-    if spec.num_racks < 1:
-        raise ValueError("a tree needs at least one rack")
-    if spec.hosts_per_rack < 1:
-        raise ValueError("a rack needs at least one host")
-
-    root = SwitchChassis(sim, spec.root_name, spec.pipeline_latency_s)
-    racks: list[TreeRack] = []
-    m = spec.hosts_per_rack
-    for r in range(spec.num_racks):
-        switch = SwitchChassis(
-            sim, f"{spec.rack_name_prefix}{r}", spec.pipeline_latency_s
-        )
-        hosts: list[Host] = []
-        host_uplinks: list[Link] = []
-        host_downlinks: list[Link] = []
-        for c in range(m):
-            host, uplink, downlink = attach_host(
-                sim,
-                switch,
-                port=c,
-                name=f"{spec.host_name_prefix}{r * m + c}",
-                host_spec=spec.host,
-                link_spec=spec.link,
-                loss_factory=spec.loss_factory,
-            )
-            hosts.append(host)
-            host_uplinks.append(uplink)
-            host_downlinks.append(downlink)
-        rack_up, root_down = connect_switches(
-            sim,
-            lower=switch,
-            lower_port=m,
-            upper=root,
-            upper_port=r,
-            link_spec=spec.link,
-            loss_factory=spec.loss_factory,
-        )
-        racks.append(
-            TreeRack(
-                index=r,
-                switch=switch,
-                hosts=hosts,
-                host_uplinks=host_uplinks,
-                host_downlinks=host_downlinks,
-                uplink=rack_up,
-                downlink=root_down,
-                uplink_port=m,
-            )
-        )
-    return Tree(sim=sim, root=root, racks=racks)

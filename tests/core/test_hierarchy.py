@@ -1,15 +1,13 @@
-"""Tests for the SS6 multi-rack hierarchical composition."""
+"""Tests for the SS6 multi-rack hierarchical composition: the rack
+program, and the tree it forms as a one-spine fabric."""
 
 import numpy as np
 import pytest
 
-from repro.core.hierarchy import (
-    HierarchicalConfig,
-    HierarchicalJob,
-    RackAggregatorProgram,
-)
+from repro.core.hierarchy import RackAggregatorProgram
 from repro.core.packet import SwitchMLPacket
 from repro.core.switch_program import SwitchAction
+from repro.net.fabric import FabricConfig, FabricJob
 from repro.net.loss import BernoulliLoss
 
 K = 4
@@ -19,6 +17,14 @@ def pkt(wid, idx=0, ver=0, off=0, value=1):
     return SwitchMLPacket(
         wid=wid, ver=ver, idx=idx, off=off, num_elements=K,
         vector=np.full(K, value, dtype=np.int64),
+    )
+
+
+def tree(racks, per_rack, pool_size=32, **kwargs):
+    """The SS6 two-layer tree: ``racks`` leaves under one spine (the root)."""
+    return FabricJob(
+        FabricConfig(num_leaves=racks, num_spines=1, workers_per_leaf=per_rack,
+                     pool_size=pool_size, **kwargs)
     )
 
 
@@ -96,10 +102,9 @@ class TestRackAggregatorProgram:
             RackAggregatorProgram(0, 0, 1, K)
 
 
-class TestHierarchicalJob:
+class TestOneSpineTree:
     def test_tree_aggregation_is_exact(self):
-        job = HierarchicalJob(HierarchicalConfig(num_racks=2, workers_per_rack=3,
-                                                 pool_size=8))
+        job = tree(2, 3, pool_size=8)
         rng = np.random.default_rng(1)
         tensors = [rng.integers(-100, 100, 32 * 8 * 4).astype(np.int64)
                    for _ in range(6)]
@@ -109,29 +114,27 @@ class TestHierarchicalJob:
     def test_uplink_carries_one_workers_worth(self):
         """SS6 bandwidth optimality: each rack uplink carries one
         aggregate stream, not one per worker."""
-        job = HierarchicalJob(HierarchicalConfig(num_racks=2, workers_per_rack=4,
-                                                 pool_size=8))
+        job = tree(2, 4, pool_size=8)
         tensors = [np.ones(32 * 8 * 4, dtype=np.int64) for _ in range(8)]
         out = job.all_reduce(tensors)
-        per_worker = out.worker_uplink_frames[0]
-        for uplink_frames in out.uplink_frames:
-            assert uplink_frames == per_worker
+        assert out.completed
+        # the run ends before the first trunk beacon: every trunk frame
+        # is aggregation traffic
+        assert job.controller.probes_sent == 0
+        per_worker = job.fabric.leaves[0].host_uplinks[0].stats.frames_sent
+        for leaf in job.fabric.leaves:
+            assert leaf.uplinks[0].stats.frames_sent == per_worker
 
     def test_three_racks(self):
-        job = HierarchicalJob(HierarchicalConfig(num_racks=3, workers_per_rack=2,
-                                                 pool_size=4))
+        job = tree(3, 2, pool_size=4)
         tensors = [np.full(32 * 4 * 3, w, dtype=np.int64) for w in range(6)]
         out = job.all_reduce(tensors)
         assert out.completed
         assert np.array_equal(out.results[0], np.full(32 * 4 * 3, sum(range(6))))
 
     def test_loss_recovery_across_layers(self):
-        job = HierarchicalJob(
-            HierarchicalConfig(
-                num_racks=2, workers_per_rack=3, pool_size=4,
-                loss_factory=lambda: BernoulliLoss(0.01), seed=3,
-            )
-        )
+        job = tree(2, 3, pool_size=4,
+                   loss_factory=lambda: BernoulliLoss(0.01), seed=3)
         rng = np.random.default_rng(2)
         tensors = [rng.integers(-50, 50, 32 * 4 * 6).astype(np.int64)
                    for _ in range(6)]
@@ -139,12 +142,35 @@ class TestHierarchicalJob:
         assert out.completed
 
     def test_wrong_tensor_count_rejected(self):
-        job = HierarchicalJob(HierarchicalConfig(num_racks=2, workers_per_rack=2))
+        job = tree(2, 2)
         with pytest.raises(ValueError):
             job.all_reduce([np.ones(32)] * 3)
 
     def test_tat_positive(self):
-        job = HierarchicalJob(HierarchicalConfig(num_racks=2, workers_per_rack=2,
-                                                 pool_size=4))
+        job = tree(2, 2, pool_size=4)
         out = job.all_reduce([np.ones(32 * 4, dtype=np.int64)] * 4)
         assert out.max_tat > 0
+
+    @pytest.mark.parametrize(
+        "racks,per_rack,pool_size,tat_s",
+        [
+            pytest.param(2, 3, 8, 8.299200000000005e-05, id="2x3"),
+            pytest.param(3, 2, 4, 8.241600000000003e-05, id="3x2"),
+            pytest.param(2, 8, 16, 8.414400000000008e-05, id="2x8"),
+            pytest.param(3, 1, 4, 8.241600000000003e-05, id="3x1"),
+        ],
+    )
+    def test_clean_tats_match_the_dedicated_tree(
+        self, racks, per_rack, pool_size, tat_s
+    ):
+        """Clean-link per-worker TATs, bit for bit: the pinned values were
+        recorded from the two-layer tree job this fabric replaced (same
+        shapes, 1 ms timeout).  The runs end before the first beacon."""
+        job = tree(racks, per_rack, pool_size=pool_size, timeout_s=1e-3)
+        n = racks * per_rack
+        tensors = [np.full(32 * pool_size * 6, w, dtype=np.int64)
+                   for w in range(n)]
+        out = job.all_reduce(tensors)
+        assert out.completed
+        assert job.controller.probes_sent == 0
+        assert [s.tensor_aggregation_time for s in out.worker_stats] == [tat_s] * n

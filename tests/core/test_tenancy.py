@@ -74,8 +74,8 @@ class TestPoolAllocator:
         assert a.pipeline_id != b.pipeline_id
 
     def test_job_larger_than_a_pipeline_rejected(self):
-        """SS6: beyond a pipeline's ports, compose hierarchically."""
-        with pytest.raises(AdmissionError):
+        """SS6: beyond a pipeline's ports, compose racks on a fabric."""
+        with pytest.raises(AdmissionError, match="FabricJob"):
             PoolAllocator().admit(num_workers=17, pool_size=128)
 
     def test_invalid_budget_rejected(self):

@@ -1,12 +1,14 @@
-"""Hierarchical-vs-flat equivalence: the fabric must change the *path*
-of an all-reduce, never its *answer*.
+"""Fabric-vs-flat equivalence: the fabric must change the *path* of an
+all-reduce, never its *answer*.
 
-Mirrors the burst-vs-packet equivalence suite: one flat single-switch
-job and one 2-tier fabric job run the same 16-worker reduction under
-clean links, loss, and jitter.  On clean links the results must match
-bit-for-bit; under loss and jitter both must still produce the exact
-integer sum (protocol-equivalent: completion, conservation, and sane
-retransmission accounting, though the schedules differ by topology).
+One flat single-switch job and one 2-tier fabric job (the SS6
+hierarchy: a rack program on every leaf, Algorithm 3 on the active
+spine) run the same 16-worker reduction under clean links, loss, and
+jitter.  On clean links the results must match bit-for-bit; under loss
+and jitter both must still produce the exact integer sum
+(protocol-equivalent: completion, conservation, and sane retransmission
+accounting, though the schedules differ by topology).  The one-spine
+case, the SS6 tree, is covered in tests/core/test_hierarchy.py.
 """
 
 import numpy as np

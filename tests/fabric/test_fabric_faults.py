@@ -182,13 +182,17 @@ class TestSpineTierExhausted:
         for s in range(2):
             plan.add(CrashSpine(spine=s, at_s=2e-4))
         FabricFaultInjector(job, plan).arm()
-        res = run(job, deadline_s=0.02)
+        res = run(job)
         assert not res.completed
         assert res.state == "failed"
         assert len(res.reroutes) == 1
         assert res.reroutes[0].to_spine is None
         # no lease renewal without a survivor to renew onto
         assert res.epoch == 0
+        # the run stops at the verdict instead of sitting out the deadline
+        assert res.elapsed_s <= (
+            res.reroutes[0].detected_at + job.config.probe_interval_s
+        )
 
 
 class TestEpochFence:

@@ -15,8 +15,14 @@ from repro.core.aggregator_device import (
     AggregatorDeviceConfig,
     AggregatorDeviceJob,
 )
-from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
 from repro.core.job import SwitchMLConfig, SwitchMLJob
+from repro.net.fabric import (
+    CrashSpine,
+    FabricConfig,
+    FabricFaultInjector,
+    FabricFaultPlan,
+    FabricJob,
+)
 from repro.net.loss import BernoulliLoss
 
 N_ELEM = 32 * 256
@@ -51,19 +57,24 @@ def _hd():
     return tuple(out.tats)
 
 
-def _hierarchy():
-    job = HierarchicalJob(
-        HierarchicalConfig(num_racks=2, workers_per_rack=2, pool_size=4,
-                           timeout_s=1e-4,
-                           loss_factory=lambda: BernoulliLoss(0.01),
-                           seed=SEED)
+def _fabric():
+    """Lossy 2x2 Clos whose active spine crashes mid-run: ECMP placement,
+    trunk beacons, detection, reroute and lease renewal all run."""
+    job = FabricJob(
+        FabricConfig(num_leaves=2, num_spines=2, workers_per_leaf=2,
+                     pool_size=4, loss_factory=lambda: BernoulliLoss(0.01),
+                     seed=SEED)
     )
+    FabricFaultInjector(
+        job, FabricFaultPlan([CrashSpine(job.active_spine, 2e-4)])
+    ).arm()
     rng = np.random.default_rng(SEED)
     tensors = [rng.integers(-100, 100, N_ELEM).astype(np.int64)
                for _ in range(4)]
     out = job.all_reduce(tensors)
-    return tuple(s.tensor_aggregation_time for s in out.worker_stats), \
-        out.retransmissions
+    assert out.completed and len(out.reroutes) == 1
+    return (tuple(s.tensor_aggregation_time for s in out.worker_stats),
+            out.retransmissions, out.stale_epoch_drops)
 
 
 def _aggregator_device():
@@ -79,7 +90,7 @@ SYSTEMS = {
     "dedicated-ps": _ps,
     "pipelined-ring": _ring,
     "halving-doubling": _hd,
-    "hierarchy": _hierarchy,
+    "fabric": _fabric,
     "aggregator-device": _aggregator_device,
 }
 

@@ -61,6 +61,8 @@ class TestExamples:
         out = run_example("multirack_hierarchy.py")
         assert "bandwidth optimality" in out
         assert "bit-exact" in out
+        # every rack's uplink stream is one worker's worth
+        assert out.count("(1.00x one worker)") == 3
 
     def test_beyond_the_paper(self):
         out = run_example("beyond_the_paper.py")

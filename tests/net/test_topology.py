@@ -109,40 +109,6 @@ class TestConnectSwitches:
         assert 1 in upper.ports
 
 
-class TestBuildTree:
-    def test_tree_shape_and_names(self):
-        from repro.net.topology import TreeSpec, build_tree
-
-        sim = Simulator()
-        tree = build_tree(sim, TreeSpec(num_racks=3, hosts_per_rack=2))
-        assert tree.root.name == "root"
-        assert [r.switch.name for r in tree.racks] == ["rack0", "rack1", "rack2"]
-        assert [h.name for h in tree.hosts] == [f"w{i}" for i in range(6)]
-        # rack uplink uses port m on the rack switch, port r on the root
-        assert tree.racks[1].uplink_port == 2
-        assert tree.racks[1].uplink.name == "rack1->root"
-        assert tree.racks[1].downlink.name == "root->rack1"
-        assert tree.conservation_holds()
-
-    def test_all_links_unique(self):
-        from repro.net.topology import TreeSpec, build_tree
-
-        sim = Simulator()
-        tree = build_tree(sim, TreeSpec(num_racks=2, hosts_per_rack=3))
-        names = [l.name for l in tree.all_links()]
-        # per rack: 3 host pairs + 1 trunk pair
-        assert len(names) == 2 * (3 * 2 + 2)
-        assert len(names) == len(set(names))
-
-    def test_invalid_spec_rejected(self):
-        from repro.net.topology import TreeSpec, build_tree
-
-        with pytest.raises(ValueError):
-            build_tree(Simulator(), TreeSpec(num_racks=0, hosts_per_rack=1))
-        with pytest.raises(ValueError):
-            build_tree(Simulator(), TreeSpec(num_racks=1, hosts_per_rack=0))
-
-
 class TestNetPackageBoundary:
     """The repro.net public API surface stays importable and complete."""
 
@@ -165,10 +131,8 @@ class TestNetPackageBoundary:
             "attach_host",
             "connect_switches",
             "build_rack",
-            "build_tree",
-            "Tree",
-            "TreeRack",
-            "TreeSpec",
+            "Rack",
+            "RackSpec",
         ):
             assert name in net.__all__
 

@@ -1,11 +1,11 @@
 """Property-based tests spanning whole subsystems: the engine, links,
-the hierarchy, and multi-tenant isolation."""
+the hierarchy (a one-spine fabric), and multi-tenant isolation."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.hierarchy import HierarchicalConfig, HierarchicalJob
 from repro.core.tenancy import MultiTenantRack
+from repro.net.fabric import FabricConfig, FabricJob
 from repro.net.link import Link, LinkSpec
 from repro.net.loss import BernoulliLoss
 from repro.net.packet import Frame
@@ -99,10 +99,10 @@ class TestHierarchyProperty:
     def test_tree_aggregation_exact_for_any_shape(
         self, racks, per_rack, chunks, loss, seed
     ):
-        job = HierarchicalJob(
-            HierarchicalConfig(
-                num_racks=racks, workers_per_rack=per_rack, pool_size=4,
-                timeout_s=2e-4,
+        job = FabricJob(
+            FabricConfig(
+                num_leaves=racks, num_spines=1, workers_per_leaf=per_rack,
+                pool_size=4, timeout_s=2e-4,
                 loss_factory=lambda: BernoulliLoss(loss),
                 seed=seed,
             )
