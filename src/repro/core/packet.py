@@ -33,7 +33,6 @@ __all__ = [
     "Heartbeat",
     "SwitchMLPacket",
     "fanout_frames",
-    "to_frames",
 ]
 
 
@@ -121,39 +120,6 @@ class SwitchMLPacket:
             f"<SwitchMLPacket {direction}{retrans} wid={self.wid} ver={self.ver} "
             f"idx={self.idx} off={self.off} k={self.num_elements}>"
         )
-
-
-def to_frames(
-    packets: list[SwitchMLPacket],
-    src: str,
-    dst: str,
-    bytes_per_element: int = 4,
-) -> list[_Frame]:
-    """Batched :meth:`SwitchMLPacket.to_frame` over a slot group.
-
-    Frames come back in input order.  The wire size is computed once per
-    distinct ``num_elements`` (a train is normally homogeneous -- every
-    chunk of a window carries ``k`` elements -- so the common case is a
-    single multiply for the whole batch).
-    """
-    sizes: dict[int, int] = {}
-    frames: list[_Frame] = []
-    append = frames.append
-    for packet in packets:
-        k = packet.num_elements
-        wire = sizes.get(k)
-        if wire is None:
-            sizes[k] = wire = k * bytes_per_element + _FRAME_OVERHEAD_BYTES
-        append(
-            _Frame(
-                wire_bytes=wire,
-                message=packet,
-                src=src,
-                dst=dst,
-                flow_key=packet.idx,
-            )
-        )
-    return frames
 
 
 def fanout_frames(

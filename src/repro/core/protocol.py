@@ -110,23 +110,18 @@ class WorkerSlotState:
     ``rtt_sum`` / ``rtt_count``
         Per-slot accumulators over unambiguous RTT samples -- the
         per-slot view of the worker's Jacobson estimator inputs.
-    ``outstanding``
-        Boolean "chunk in flight" flag per slot.  The per-packet path
-        keeps the outstanding :class:`SwitchMLPacket` object per slot
-        (identity carries off/ver); the vectorized batch path masks
-        with this array instead of touching Python objects.
     ``tat_start`` / ``tat_finish``
         Scalar aggregation window (tensor aggregation time endpoints).
 
     Storage: one buffer per field, two handles on it.  ``st.<field>``
-    is the ndarray -- what the window path's whole-batch bodies index
-    and what :meth:`due` scans.  ``st.<field>_v`` is a ``memoryview``
-    of that same array, built once beside it, for one-element reads and
-    writes: it hands back builtin ``int`` / ``float`` / ``bool`` at
-    about half an ndarray index's cost.  The per-packet path (the
-    default, ``burst_epsilon=0``) touches state only through the views,
-    so no NumPy scalar can reach a timer deadline and, through the
-    first timer that fires, the simulated clock (``np.float64`` holds
+    is the ndarray -- what whole-pool resets write and what :meth:`due`
+    scans.  ``st.<field>_v`` is a ``memoryview`` of that same array,
+    built once beside it, for one-element reads and writes: it hands
+    back builtin ``int`` / ``float`` / ``bool`` at about half an ndarray
+    index's cost.  The worker's per-slot code (one body on both paths)
+    touches state only through the views, so no NumPy scalar can reach
+    a timer deadline and, through the first timer that fires, the
+    simulated clock (``np.float64`` holds
     the same bits as ``float`` but adds and compares several times
     slower, and every value computed from one is one).  Everything
     resets in place, so both handles -- and hot-path aliases of either
@@ -137,7 +132,6 @@ class WorkerSlotState:
     ARRAY_FIELDS = (
         "off", "ver", "next_ver", "sent_at", "deadline", "arm_seq",
         "retransmitted", "retries", "backoff", "rtt_sum", "rtt_count",
-        "outstanding",
     )
     #: scalar fields captured alongside them
     SCALAR_FIELDS = ("tat_start", "tat_finish")
@@ -163,7 +157,6 @@ class WorkerSlotState:
         self.backoff = np.ones(s, dtype=np.float64)
         self.rtt_sum = np.zeros(s, dtype=np.float64)
         self.rtt_count = np.zeros(s, dtype=np.int64)
-        self.outstanding = np.zeros(s, dtype=bool)
         for name in self.ARRAY_FIELDS:
             setattr(self, name + "_v", memoryview(getattr(self, name)))
         self.tat_start = 0.0
@@ -186,7 +179,6 @@ class WorkerSlotState:
         self.retries[:] = 0
         self.rtt_sum[:] = 0.0
         self.rtt_count[:] = 0
-        self.outstanding[:] = False
         self.tat_start = float(start_time)
         self.tat_finish = float("nan")
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.packet import Heartbeat, SwitchMLPacket, to_frames
+from repro.core.packet import Heartbeat, SwitchMLPacket
 from repro.core.protocol import WorkerSlotState
 from repro.net.host import Host
 from repro.net.packet import Frame
@@ -104,9 +104,10 @@ class SwitchMLWorker:
         one singleton timer covers the pool's earliest deadline.
     """
 
-    #: smallest RX group the vectorized batch body takes; smaller groups
-    #: replay the per-result loop (same sums, not the same schedule: see
-    #: on_frames)
+    #: the window path's egress rule: an RX group of this many results
+    #: or more, in fixed timeout mode, sends its next chunks as one frame
+    #: train; below this, or in adaptive mode, credits leave one by one
+    #: (same sums, not the same schedule: see on_frames)
     _RX_BATCH_MIN = 8
 
     def __init__(
@@ -215,6 +216,9 @@ class SwitchMLWorker:
         self.reuse_buffers = reuse_buffers
         self._slot_buf: list[SwitchMLPacket | None] = []
         self._slot_frame: list[Frame | None] = []
+        # window path: while open, _send_chunk queues its frame here and
+        # _flush_outbox sends the lot as one frame train
+        self._outbox: list[Frame] | None = None
 
         # observability: the four counters mirror `stats` fields and are
         # brought up to date by _flush_metrics when the registry is
@@ -310,27 +314,21 @@ class SwitchMLWorker:
         self._m_flushed = (0, 0, 0, 0)
         self.stats = WorkerStats(start_time=self.sim.now)
 
-        if self._coalesce and active_slots > 1:
-            idx = np.arange(active_slots)
-            self._send_chunks(idx, self._st.next_ver[idx], self.k * idx)
-        else:
-            for i in range(active_slots):
-                self._send_chunk(idx=i, ver=self._next_ver[i], off=self.k * i)
+        if self._coalesce:
+            self._outbox = []
+        for i in range(active_slots):
+            self._send_chunk(idx=i, ver=self._next_ver[i], off=self.k * i)
+        self._flush_outbox()
 
     def _bind_slot_views(self) -> None:
         """Alias the SoA core's scalar views -- same storage as its
-        arrays, builtin values out -- for the one-slot-at-a-time code;
-        the whole-batch bodies index ``self._st``'s ndarrays."""
+        arrays, builtin values out -- for the one-slot-at-a-time code."""
         st = self._st
         self._slot_off = st.off_v
         self._slot_ver = st.ver_v
         self._slot_sent_at = st.sent_at_v
         self._slot_retransmitted = st.retransmitted_v
         self._slot_retries = st.retries_v
-        # the window path mirrors "chunk in flight" into the SoA bool
-        # column so the batch RX body can mask whole-batch instead of
-        # touching the _slot_packet object column per frame
-        self._slot_outstanding = st.outstanding_v
         # per-slot exponential backoff on consecutive timeouts (resets on
         # a received result) -- keeps a sudden RTT increase (congestion)
         # from degenerating into a retransmission storm.  Persists across
@@ -397,8 +395,6 @@ class SwitchMLWorker:
         self._slot_ver[idx] = ver
         self._next_ver[idx] = 1 - ver  # the version the NEXT phase uses
         self._slot_packet[idx] = packet
-        if self._coalesce:
-            self._slot_outstanding[idx] = True
         self._slot_sent_at[idx] = self.sim.now
         self._slot_retransmitted[idx] = False
         self._slot_retries[idx] = 0
@@ -410,97 +406,20 @@ class SwitchMLWorker:
                 "packet.tx", self.sim.now, cat="packet", actor=self._actor,
                 slot=idx, ver=ver, off=off,
             )
-        self.host.send(frame)
+        if self._outbox is not None:
+            self._outbox.append(frame)
+        else:
+            self.host.send(frame)
         if self._coalesce:
             self._arm_deadline(idx)
         else:
             self._arm_timer(idx)
 
-    def _send_chunks(
-        self, idx_a: np.ndarray, ver_a: np.ndarray, off_a: np.ndarray,
-        arm: bool = True,
-    ) -> None:
-        """Batched :meth:`_send_chunk` over a slot group (window path).
-
-        ``idx_a`` / ``ver_a`` / ``off_a`` are integer arrays, one entry
-        per chunk in send order.  Per-slot bookkeeping replicates
-        :meth:`_send_chunk` exactly; the fresh frames are built in one
-        :func:`to_frames` call and the whole group leaves through
-        :meth:`Host.send_train`, after which the deadlines are armed in
-        send order -- unless ``arm=False``: the batch RX body computes
-        the whole batch's deadlines vectorially after its sends.
-        """
-        now = self.sim.now
-        host = self.host
-        reuse = self.reuse_buffers
-        phantom = self._phantom
-        tensor = self._tensor
-        k = self.k
-        slot_buf = self._slot_buf
-        slot_frame = self._slot_frame
-        slot_packet = self._slot_packet
-        st = self._st
-        idx_l = idx_a.tolist()
-        n = len(idx_l)
-        frames: list[Frame | None] = [None] * n
-        fresh_pos: list[int] = []
-        fresh_packets: list[SwitchMLPacket] = []
-        for pos, (idx, ver, off) in enumerate(
-            zip(idx_l, ver_a.tolist(), off_a.tolist())
-        ):
-            if reuse and (packet := slot_buf[idx]) is not None:
-                packet.ver = ver
-                packet.off = off
-                packet.vector = None if phantom else tensor[off : off + k]
-                frame = slot_frame[idx]
-                frame.corrupted = False
-                frames[pos] = frame
-            else:
-                packet = SwitchMLPacket(
-                    wid=self.wid,
-                    ver=ver,
-                    idx=idx,
-                    off=off,
-                    num_elements=k,
-                    vector=None if phantom else tensor[off : off + k],
-                    epoch=self.epoch,
-                    job_id=self.job_id,
-                )
-                fresh_pos.append(pos)
-                fresh_packets.append(packet)
-            slot_packet[idx] = packet
-        # SoA bookkeeping in one fancy-indexed pass per array (slots are
-        # distinct within a train, so store order is unobservable)
-        st.off[idx_a] = off_a
-        st.ver[idx_a] = ver_a
-        st.next_ver[idx_a] = 1 - ver_a
-        st.outstanding[idx_a] = True
-        st.sent_at[idx_a] = now
-        st.retransmitted[idx_a] = False
-        st.retries[idx_a] = 0
-        if fresh_packets:
-            built = to_frames(
-                fresh_packets,
-                src=host.name,
-                dst=self.switch_addr,
-                bytes_per_element=self.bytes_per_element,
-            )
-            for i, pos in enumerate(fresh_pos):
-                frames[pos] = built[i]
-                if reuse:
-                    idx = idx_l[pos]
-                    slot_buf[idx] = fresh_packets[i]
-                    slot_frame[idx] = built[i]
-        self.stats.packets_sent += n
-        if self.trace is not None:
-            tick = self.trace.tick
-            for _ in range(n):
-                tick("sent", now)
-        host.send_train(frames)
-        if arm:
-            arm_deadline = self._arm_deadline
-            for idx in idx_l:
-                arm_deadline(idx)
+    def _flush_outbox(self) -> None:
+        """Close the outbox and send what it holds as one frame train."""
+        frames, self._outbox = self._outbox, None
+        if frames:
+            self.host.send_train(frames)
 
     def current_timeout(self) -> float:
         """The retransmission timeout in force right now.
@@ -869,16 +788,13 @@ class SwitchMLWorker:
         if total_packets == 0:
             self._finish()
             return
-        if self._coalesce and active_slots > 1:
-            idx = np.arange(active_slots)
-            self._send_chunks(
-                idx, self._st.next_ver[idx], offset_elements + self.k * idx
+        if self._coalesce:
+            self._outbox = []
+        for i in range(active_slots):
+            self._send_chunk(
+                idx=i, ver=self._next_ver[i], off=offset_elements + self.k * i
             )
-        else:
-            for i in range(active_slots):
-                self._send_chunk(
-                    idx=i, ver=self._next_ver[i], off=offset_elements + self.k * i
-                )
+        self._flush_outbox()
 
     # ------------------------------------------------------------------
     # Receiving
@@ -897,15 +813,15 @@ class SwitchMLWorker:
         """Window-path RX entry: one call per group of frames the host
         dispatched in the same drain window, in arrival order.
 
-        Groups of ``_RX_BATCH_MIN`` or more results go through the
-        vectorized batch body (:meth:`_on_results_batch`), whose next
-        chunks leave as one :meth:`Host.send_train`; smaller groups (and
-        the cases the batch body excludes) replay :meth:`_on_result`,
-        which sends each next chunk through :meth:`Host.send`.  Both
-        give exact sums, but the two send forms are scheduled
-        differently, so the threshold is part of the window path's
-        schedule, not only a speed setting.  The trace record is one
-        per-burst aggregate instead of per-packet events."""
+        Every result goes through :meth:`_on_result`; the group changes
+        only how the next chunks leave.  A group of ``_RX_BATCH_MIN`` or
+        more results in fixed timeout mode opens the outbox, so its
+        credits leave as one :meth:`Host.send_train`; smaller groups,
+        and every group in adaptive mode, send each next chunk through
+        :meth:`Host.send`.  Both give exact sums, but the two send forms
+        are scheduled differently, so the threshold is part of the
+        window path's schedule, not only a speed setting.  The trace
+        record is one per-burst aggregate instead of per-packet events."""
         stats = self.stats
         results: list[SwitchMLPacket] = []
         for frame in frames:
@@ -916,161 +832,23 @@ class SwitchMLWorker:
             packet = frame.message
             if isinstance(packet, SwitchMLPacket) and packet.from_switch:
                 results.append(packet)
-        if results:
-            if len(results) < self._RX_BATCH_MIN or not self._active:
-                on_result = self._on_result
-                for p in results:
-                    on_result(p)
-            else:
-                self._on_results_batch(results)
+        # adaptive mode sends credit by credit at any group size; trains
+        # there would move its pinned schedule
+        if (
+            len(results) >= self._RX_BATCH_MIN
+            and self._active
+            and self.timeout_mode == "fixed"
+        ):
+            self._outbox = []
+        on_result = self._on_result
+        for p in results:
+            on_result(p)
+        self._flush_outbox()
         if self._tracer.enabled:
             self._tracer.emit(
                 "burst.rx", self.sim.now, cat="burst", actor=self._actor,
                 frames=len(frames), results=len(results),
             )
-
-    def _on_results_batch(self, pkts: list[SwitchMLPacket]) -> None:
-        """Vectorized result consumption: the whole batch's stale
-        filtering, timer clearing, RTT accounting, and next-chunk timer
-        math run as array operations; only the per-chunk sends (and the
-        order-sensitive Jacobson EWMA) remain loops.
-
-        Two cases fall back to the exact per-result loop:
-
-        * **adaptive timeout mode** -- there the EWMA feeds each send's
-          RTO, and the per-result path interleaves (sample i, send i, sample
-          i+1, ...); batching the samples ahead of the sends would skew
-          the RTOs.  Fixed mode's RTO never reads the estimator, so
-          batching is exact (per-slot backoff is reset before the
-          slot's own send in both orders).
-        * **the batch that completes the tensor** -- _finish() may
-          restart the worker synchronously (next aggregation), and any
-          frames after the completing result must observe the restarted
-          state exactly as the sequential path would.
-        """
-        st = self._st
-        m = len(pkts)
-        epoch = self.epoch
-        idx_a = np.array([p.idx for p in pkts], dtype=np.int64)
-        off_a = np.array([p.off for p in pkts], dtype=np.int64)
-        ver_a = np.array([p.ver for p in pkts], dtype=np.int64)
-        # stale filtering: epoch first (a stale-epoch idx may be out of
-        # range for this pool geometry), then the outstanding-phase match
-        epochs = [p.epoch for p in pkts]
-        if epochs.count(epoch) == m:
-            valid = (
-                st.outstanding[idx_a]
-                & (off_a == st.off[idx_a])
-                & (ver_a == st.ver[idx_a])
-            )
-        else:
-            valid = np.zeros(m, dtype=bool)
-            ok_i = (np.array(epochs) == epoch).nonzero()[0]
-            if ok_i.size:
-                ia = idx_a[ok_i]
-                valid[ok_i] = (
-                    st.outstanding[ia]
-                    & (off_a[ok_i] == st.off[ia])
-                    & (ver_a[ok_i] == st.ver[ia])
-                )
-        acc = valid.nonzero()[0]
-        if acc.size > 1:
-            # intra-batch duplicates for one slot (multicast racing a
-            # unicast shadow read): first occurrence wins, the rest are
-            # stale -- exactly what the sequential path does, because
-            # consuming the first changes the slot's outstanding phase.
-            # Duplicates are rare, so a set-size probe screens the batch
-            # before paying for np.unique's sort.
-            slots_acc = idx_a[acc]
-            if len(set(slots_acc.tolist())) != slots_acc.size:
-                uniq, first_pos = np.unique(slots_acc, return_index=True)
-                acc = acc[np.sort(first_pos)]
-        n_acc = int(acc.size)
-        if n_acc and (self.timeout_mode != "fixed" or n_acc == self._remaining):
-            on_result = self._on_result
-            for p in pkts:
-                on_result(p)
-            return
-        stats = self.stats
-        n_stale = m - n_acc
-        if n_stale:
-            stats.stale_results_ignored += n_stale
-        if not n_acc:
-            return
-
-        si = idx_a[acc]
-        now = self.sim.now
-        # timers: one masked store (the singleton timer re-arms lazily)
-        st.deadline[si] = _INF
-        samples = now - st.sent_at[si]
-        stats.results_received += n_acc
-        stats.rtt_sum += float(samples.sum())
-        stats.rtt_count += n_acc
-        self._h_rtt.observe_many(samples)
-        # Karn's rule, whole-batch: unambiguous samples feed the per-slot
-        # accumulators and clear the backoff; the scalar EWMA stays a
-        # loop in arrival order (its fixed point depends on sample order)
-        unamb = ~st.retransmitted[si]
-        if np.count_nonzero(unamb):
-            u_si = si[unamb]
-            u_samples = samples[unamb]
-            st.rtt_sum[u_si] += u_samples
-            st.rtt_count[u_si] += 1
-            st.backoff[u_si] = 1.0
-            srtt = self._srtt
-            rttvar = self._rttvar
-            peak = self._rtt_peak
-            for x in u_samples.tolist():
-                if srtt is None:
-                    srtt = x
-                    rttvar = x / 2.0
-                else:
-                    err = x - srtt
-                    srtt += 0.125 * err
-                    rttvar += 0.25 * (abs(err) - rttvar)
-                decayed = peak * 0.995
-                peak = x if x > decayed else decayed
-            self._srtt = srtt
-            self._rttvar = rttvar
-            self._rtt_peak = peak
-        # consume: results land in the tensor, slots free up
-        if not self._phantom:
-            result = self._result
-            k = self.k
-            for j in acc.tolist():
-                p = pkts[j]
-                if p.vector is not None:
-                    result[p.off : p.off + k] = p.vector
-        st.outstanding[si] = False
-        slot_packet = self._slot_packet
-        for i in si.tolist():
-            slot_packet[i] = None
-        self._remaining -= n_acc
-
-        # next-chunk sends, in the arrival order of their credits.  The
-        # completing batch was routed to the fallback above, so every
-        # accepted result either advances its slot or retires it --
-        # _finish() can never trigger here.
-        next_off = off_a[acc] + self.k * self.s
-        send_pos = (next_off < self._size).nonzero()[0]
-        if not send_pos.size:
-            return
-        # batch timer math: send the frames without arming, then compute
-        # every deadline in one vector op and re-arm the singleton once
-        sent_slots = si[send_pos]
-        self._send_chunks(
-            sent_slots, 1 - ver_a[acc[send_pos]], next_off[send_pos], arm=False
-        )
-        dur = self.timeout_s * st.backoff[sent_slots]
-        np.minimum(dur, self.max_timeout_s, out=dur)
-        deadlines = now + dur
-        st.deadline[sent_slots] = deadlines
-        c = self._arm_counter
-        st.arm_seq[sent_slots] = np.arange(c, c + sent_slots.size)
-        self._arm_counter = c + int(sent_slots.size)
-        dmin = float(deadlines.min())
-        if dmin < self._deadline_armed_at:
-            self._rearm_singleton(dmin)
 
     def _on_result(self, p: SwitchMLPacket) -> None:
         """The per-result hot path (one call per received result frame);
@@ -1104,8 +882,7 @@ class SwitchMLWorker:
         st = self._st
         if self._coalesce:
             st.deadline_v[idx] = _INF
-        timer = self._slot_timer[idx]
-        if timer is not None:
+        elif (timer := self._slot_timer[idx]) is not None:
             timer.cancel()
             self._slot_timer[idx] = None
         now = self.sim.now
@@ -1136,19 +913,18 @@ class SwitchMLWorker:
                 err = rtt_sample - srtt
                 self._srtt = srtt + 0.125 * err
                 self._rttvar += 0.25 * (abs(err) - self._rttvar)
-            self._rtt_peak = max(rtt_sample, self._rtt_peak * 0.995)
+            decayed = self._rtt_peak * 0.995
+            self._rtt_peak = rtt_sample if rtt_sample > decayed else decayed
             self._slot_backoff[idx] = 1.0
         if not self._phantom and p.vector is not None:
             assert self._result is not None
             self._result[off : off + self.k] = p.vector
         self._slot_packet[idx] = None
-        if self._coalesce:
-            self._slot_outstanding[idx] = False
         self._remaining -= 1
 
         next_off = off + self.k * self.s
         if next_off < self._size:
-            self._send_chunk(idx=idx, ver=1 - ver, off=next_off)
+            self._send_chunk(idx, 1 - ver, next_off)
         elif self._remaining == 0:
             self._finish()
 
@@ -1165,6 +941,9 @@ class SwitchMLWorker:
         self._m_flushed = totals
 
     def _finish(self) -> None:
+        # the group's queued credits leave before on_complete can
+        # restart this worker
+        self._flush_outbox()
         self._active = False
         self.stats.finish_time = self.sim.now
         self._st.tat_finish = self.sim.now

@@ -24,7 +24,6 @@ def _scrambled_worker_state(s: int = 8) -> WorkerSlotState:
     st.arm_seq[:] = np.arange(s) + 10
     st.rtt_sum[:] = np.arange(s) * 1e-6
     st.rtt_count[:] = np.arange(s)
-    st.outstanding[:] = np.arange(s) % 3 == 0
     for i in range(s):
         st.sent_at[i] = i * 0.5
         st.retransmitted[i] = bool(i % 2)
@@ -94,7 +93,6 @@ class TestWorkerSlotState:
         assert not st.sent_at.any()
         assert not st.retransmitted.any()
         assert not st.retries.any()
-        assert not st.outstanding.any()
         assert not st.rtt_sum.any()
         assert st.tat_start == 2.5
         assert math.isnan(st.tat_finish)

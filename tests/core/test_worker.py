@@ -236,3 +236,69 @@ class TestTimeoutsAndRecovery:
         _, _, workers, _ = build(sim)
         with pytest.raises(ValueError):
             workers[0].start(None)
+
+
+class RecordingHost:
+    """A stand-in :class:`Host` that only records how frames leave."""
+
+    name = "w0"
+
+    def __init__(self):
+        self.calls = []
+
+    def send(self, frame):
+        self.calls.append(("send", 1))
+
+    def send_train(self, frames):
+        self.calls.append(("send_train", len(frames)))
+
+
+class TestWindowEgressRule:
+    """On the window path the RX group decides only how the next chunks
+    leave: ``_RX_BATCH_MIN`` or more results in fixed timeout mode send
+    them as one train, anything else sends them one by one."""
+
+    POOL = 8
+
+    @pytest.mark.parametrize(
+        "timeout_mode, results, phases, expected",
+        [
+            ("fixed", 8, 2, [("send_train", 8)]),
+            ("fixed", 7, 2, [("send", 1)] * 7),
+            ("adaptive", 8, 2, [("send", 1)] * 8),
+            ("fixed", 8, 1, []),  # the group that completes the tensor
+        ],
+        ids=["fixed-8", "fixed-7", "adaptive-8", "completing"],
+    )
+    def test_egress(self, timeout_mode, results, phases, expected):
+        assert SwitchMLWorker._RX_BATCH_MIN == self.POOL
+        sim = Simulator()
+        host = RecordingHost()
+        at_complete = []
+        worker = SwitchMLWorker(
+            sim, host, 0, 1, self.POOL, K, timeout_mode=timeout_mode,
+            burst_epsilon=2e-5,
+            on_complete=lambda wid, t: at_complete.append(
+                (worker._outbox, list(host.calls))
+            ),
+        )
+        worker.start(np.ones(K * self.POOL * phases, dtype=np.int64))
+        # the initial window leaves as one train
+        assert host.calls == [("send_train", self.POOL)]
+        host.calls.clear()
+        frames = [
+            SwitchMLPacket(
+                wid=0, ver=0, idx=i, off=K * i, num_elements=K,
+                vector=np.ones(K, dtype=np.int64), from_switch=True,
+            ).to_frame("sw", "w0")
+            for i in range(results)
+        ]
+        worker.on_frames(frames)
+        assert host.calls == expected
+        assert worker._outbox is None
+        if phases == 1:
+            # the outbox was flushed and closed before on_complete ran
+            assert at_complete == [(None, [])]
+            assert np.array_equal(worker.result, np.ones(K * self.POOL))
+        else:
+            assert at_complete == []

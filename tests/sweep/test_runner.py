@@ -6,9 +6,13 @@ acceptance criterion that makes ``--procs`` purely a wall-clock knob.
 """
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.sweep import scenarios
 from repro.sweep.runner import (
     execute_task,
     load_artifact,
@@ -125,6 +129,49 @@ class TestResume:
         resumed = run_sweep(tasks, artifact=art, resume=True)
         assert len(resumed.ran) == 1
         assert resumed.ok
+
+
+class TestDeadWorker:
+    """A worker process that dies outright (no record, no traceback)
+    breaks the pool; what was committed before survives, and a resume
+    runs exactly what is missing."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched scenario reaches pool workers only by fork",
+    )
+    def test_dead_worker_keeps_committed_records(self, tmp_path, monkeypatch):
+        died = tmp_path / "died"
+
+        def die_once(params, seed):
+            # the first run of seed index 5 kills its process, as an
+            # OOM kill or a segfault would
+            if params["seed_index"] == 5 and not died.exists():
+                died.touch()
+                os._exit(1)
+            return scenarios.SCENARIOS["fig4_clean"](params, seed)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "die", die_once)
+        monkeypatch.setitem(
+            scenarios.SCENARIO_KNOBS, "die", scenarios.SCENARIO_KNOBS["fig4_clean"]
+        )
+        tasks = make_tasks("die", 0, 8, params={"workers": 2, "elements": 1024})
+        art = tmp_path / "sweep.jsonl"
+        seen = []
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(tasks, artifact=art, procs=2, on_record=seen.append)
+        kept = load_artifact(art)
+        assert "die#s5" not in kept
+        for rec in seen:
+            assert kept[rec["task_id"]]["ok"]
+        assert sorted(kept) == sorted(rec["task_id"] for rec in seen)
+
+        resumed = run_sweep(tasks, artifact=art, procs=2, resume=True)
+        missing = sorted(t.task_id for t in tasks if t.task_id not in kept)
+        assert resumed.ran == missing
+        assert resumed.skipped == sorted(kept)
+        assert resumed.ok
+        assert sorted(load_artifact(art)) == sorted(t.task_id for t in tasks)
 
 
 class TestSummary:
