@@ -80,9 +80,9 @@ class RackAggregatorProgram:
         # bumped in bulk, as SwitchMLProgram.handle does.  Layout: flat
         # (version, slot) index ``vs = ver * s + idx`` for count/state,
         # ``vs * n + wid`` for seen, ``[vs * k, vs * k + k)`` for pool.
-        self._seen_cells: list[int] = self._seen._scalar
-        self._count_cells: list[int] = self._count._scalar
-        self._state_cells: list[int] = self._state._scalar
+        self._seen_cells: list[int] = self._seen.cells
+        self._count_cells: list[int] = self._count.cells
+        self._state_cells: list[int] = self._state.cells
         self.partials_forwarded = 0
         self.partial_retransmits = 0
         self.results_multicast = 0

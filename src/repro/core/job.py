@@ -88,9 +88,6 @@ class SwitchMLConfig:
     #: observability layer shared by the engine, workers, and switch
     #: program; None falls back to the disabled :data:`NULL_OBS`
     obs: "Observability | None" = None
-    #: event-engine scheduler: "wheel" (timer-wheel/heap hybrid, default)
-    #: or "heap" (single legacy heap); both fire the identical sequence
-    scheduler: str = "wheel"
     #: reuse per-slot packet/frame objects on the hot paths instead of
     #: allocating per packet.  None (default) = auto: enabled exactly
     #: when ``link.jitter_s == 0`` -- jitter can reorder deliveries, and
@@ -356,7 +353,7 @@ class SwitchMLJob:
     def __init__(self, config: SwitchMLConfig | None = None):
         self.config = config if config is not None else SwitchMLConfig()
         cfg = self.config
-        self.sim = Simulator(seed=cfg.seed, scheduler=cfg.scheduler)
+        self.sim = Simulator(seed=cfg.seed)
         # zero-copy hot paths need FIFO delivery; jitter reorders (see
         # SwitchMLConfig.reuse_buffers)
         reuse = (

@@ -158,14 +158,13 @@ class SwitchMLProgram:
         self._pool = self.state.pool
         self._count = self.state.count
         self._seen = self.state.seen
-        # Direct aliases of the state's storage: same-storage memoryviews
-        # (builtin ints, cheaper one-element access) for handle(), the
-        # ndarrays for the whole-range resets; safe because the state
-        # only ever writes in place.  The registers' `accesses` counters
-        # are bumped once per packet by that packet's access count.
+        # Direct aliases of the state's lists, indexed by handle(); safe
+        # because the state only ever writes in place.  The registers'
+        # `accesses` counters are bumped once per packet by that
+        # packet's access count.
         st = self.state
-        self._seen_bits, self._seen_v = st.seen_bits, st.seen_v
-        self._count_v = st.count_v
+        self._seen_bits = st.seen.cells
+        self._count_cells = st.count.cells
         # Per-(version, slot) tensor offset of the last phase opened
         # there.  Within one program's life a slot's phases carry
         # strictly increasing offsets (the worker round-robin strides
@@ -174,7 +173,7 @@ class SwitchMLProgram:
         # offset predates the stored phase is a reordered late
         # retransmission and must never reopen the slot with stale
         # data.  Not access-counted (see SwitchSlotState).
-        self._off_cells, self._off_v = st.off_cells, st.off_v
+        self._off_cells = st.off_cells
         self.packets_processed = 0
         self.multicasts = 0
         self.unicast_retransmits = 0
@@ -193,7 +192,7 @@ class SwitchMLProgram:
         #: maintained per-(version, slot) popcount of the ``seen`` bitmap,
         #: updated on every bit transition so inspection is O(1) instead
         #: of an O(n) scan over the bit cells
-        self._pop_v = st.pop_v
+        self._seen_pop = st.seen_pop
 
         self.obs = obs if obs is not None else NULL_OBS
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -268,7 +267,7 @@ class SwitchMLProgram:
         retransmission from the finished reduction still finds its
         shadow copy (see the pop != 0 rule in :meth:`handle`).
         """
-        self._off_cells.fill(-1)
+        self._off_cells[:] = [-1] * len(self._off_cells)
 
     def _reset_phase(self, vs: int) -> None:
         """Wipe a poisoned (version, slot) before a newer phase opens.
@@ -280,10 +279,10 @@ class SwitchMLProgram:
         """
         n = self.n
         base = vs * n
-        self._seen_bits[base:base + n] = 0
-        self._pop_v[vs] = 0
-        if self._count_v[vs] != 0:
-            self._count_v[vs] = 0
+        self._seen_bits[base:base + n] = [0] * n
+        self._seen_pop[vs] = 0
+        if self._count_cells[vs] != 0:
+            self._count_cells[vs] = 0
             self.occupied_slots -= 1
         self.phase_resets += 1
 
@@ -316,9 +315,9 @@ class SwitchMLProgram:
         self.packets_processed += 1
         vs = ver * s + idx  # flat (version, slot): count index, pop index
         ovs = (1 - ver) * s + idx  # the alternate pool's copy of the slot
-        seen_bits = self._seen_v
-        counts = self._count_v
-        pop = self._pop_v
+        seen_bits = self._seen_bits
+        counts = self._count_cells
+        pop = self._seen_pop
         sb = vs * n + wid
 
         # ---- phase-offset discipline (reordering robustness) ---------
@@ -334,7 +333,7 @@ class SwitchMLProgram:
         # stride by 2*s*k per slot reuse), and a smaller offset is a
         # relic of an already-recycled phase.
         off = p.off
-        stored = self._off_v[vs]
+        stored = self._off_cells[vs]
         if off != stored:
             if counts[vs] == 0 and pop[vs] == 0:
                 # Fully recycled idle slot: any different offset opens a
@@ -346,7 +345,7 @@ class SwitchMLProgram:
                 # cycles of its slot to get here; if one ever does, the
                 # phantom phase it opens is repaired by the genuine
                 # opening's reset below.)
-                self._off_v[vs] = off
+                self._off_cells[vs] = off
             elif off < stored:
                 # Late retransmission of a phase the slot has recycled
                 # past, caught mid-phase or mid-recycling.  The worker's
@@ -392,7 +391,7 @@ class SwitchMLProgram:
                 # stale reordered traffic poisoned the slot -- wipe it
                 # so the genuine phase opens clean.
                 self._reset_phase(vs)
-            self._off_v[vs] = off
+            self._off_cells[vs] = off
         elif counts[vs] == 0 and pop[vs] != 0:
             # The stored phase itself, already complete with its shadow
             # copy still live: the sender missed the result (perhaps so
@@ -556,7 +555,7 @@ class SwitchMLProgram:
     def seen_popcount(self, ver: int, idx: int) -> int:
         """Number of set ``seen`` bits for ``(ver, idx)`` -- O(1) from the
         maintained counter, not an O(n) scan of the bit cells."""
-        return self._pop_v[ver * self.s + idx]
+        return self._seen_pop[ver * self.s + idx]
 
     def slot_state(self, ver: int, idx: int) -> dict:
         """Debug/test view of one (version, slot)."""

@@ -188,7 +188,7 @@ class SwitchMLWorker:
         #: per-chunk sends, one engine timer per slot.  True: the window
         #: path -- the schedule is already epsilon-perturbed, so chunk
         #: groups leave through one :meth:`Host.send_train` call, per-slot
-        #: deadlines are booked into the SoA core's deadline array, and
+        #: deadlines are booked into the protocol core's deadline list, and
         #: ONE singleton engine timer sits at the earliest armed
         #: deadline; expiries drain through ``WorkerSlotState.due()`` in
         #: (deadline, arm_seq) order -- s timer events collapse to one.
@@ -199,9 +199,9 @@ class SwitchMLWorker:
         # window path emits per-burst aggregate records instead
         # (on_frames/_run_deadlines)
         self._trace_packets = not self._coalesce
-        #: the data-oriented core: pool-wide per-slot state as NumPy
-        #: arrays (this class is the per-event adapter over it).  The
-        #: ``_slot_*`` attributes alias its scalar views (_bind_slot_views).
+        #: the protocol core: pool-wide per-slot state, one list per
+        #: field (this class is the per-event adapter over it).  The
+        #: ``_slot_*`` attributes alias its lists (_bind_slot_views).
         self._st = WorkerSlotState(pool_size)
         self._arm_counter = 0
         # Zero-copy hot path: when enabled, each slot's update packet and
@@ -259,9 +259,9 @@ class SwitchMLWorker:
         self._active = False
         self._base_off = 0
         self._active_slots = 0
-        # per-slot protocol state: the numeric columns live in the SoA
-        # core; the object-reference columns -- packet, timer, reuse
-        # buffers -- stay Python lists
+        # per-slot protocol state: the numeric columns live in the
+        # protocol core; the object-reference columns -- packet, timer,
+        # reuse buffers -- are per-aggregation lists here
         self._bind_slot_views()
         self._slot_packet: list[SwitchMLPacket | None] = []
         self._slot_timer: list[Event | None] = []
@@ -321,14 +321,14 @@ class SwitchMLWorker:
         self._flush_outbox()
 
     def _bind_slot_views(self) -> None:
-        """Alias the SoA core's scalar views -- same storage as its
-        arrays, builtin values out -- for the one-slot-at-a-time code."""
+        """Alias the protocol core's lists for the one-slot-at-a-time
+        code."""
         st = self._st
-        self._slot_off = st.off_v
-        self._slot_ver = st.ver_v
-        self._slot_sent_at = st.sent_at_v
-        self._slot_retransmitted = st.retransmitted_v
-        self._slot_retries = st.retries_v
+        self._slot_off = st.off
+        self._slot_ver = st.ver
+        self._slot_sent_at = st.sent_at
+        self._slot_retransmitted = st.retransmitted
+        self._slot_retries = st.retries
         # per-slot exponential backoff on consecutive timeouts (resets on
         # a received result) -- keeps a sudden RTT increase (congestion)
         # from degenerating into a retransmission storm.  Persists across
@@ -337,15 +337,15 @@ class SwitchMLWorker:
         # (Appendix B), and resetting to 0 would collide with the
         # switch's still-set ``seen`` bits from a previous tensor whose
         # last phase used version 0.
-        self._slot_backoff = st.backoff_v
-        self._next_ver = st.next_ver_v
+        self._slot_backoff = st.backoff
+        self._next_ver = st.next_ver
 
     def _reset_slot_state(self) -> None:
-        """Per-aggregation reset: clear the SoA core in place, rebind the
-        view aliases (tests may have rebound them), and reallocate the
+        """Per-aggregation reset: clear the protocol core in place (the
+        ``_slot_*`` aliases stay attached; only :meth:`reconfigure`,
+        which builds a fresh core, rebinds them) and reallocate the
         object-reference columns."""
-        self._st.begin(start_time=self.sim.now)
-        self._bind_slot_views()
+        self._st.begin()
         self._slot_packet = [None] * self.s
         self._slot_timer = [None] * self.s
         # reusable buffers are per-aggregation: wid/epoch/addressing may
@@ -471,13 +471,13 @@ class SwitchMLWorker:
 
     def _arm_deadline(self, idx: int) -> None:
         """Window-path timer arming: write the slot's expiry into the
-        SoA deadline array and make sure the singleton engine timer
-        covers it.
+        protocol core's deadline list and make sure the singleton engine
+        timer covers it.
 
         The timeout duration is computed exactly as in
         :meth:`_arm_timer`.  ``deadline`` mirrors every armed expiry
         (``+inf`` = none) and ``arm_seq`` the arming order, so pool-wide
-        timer state is one array scan; :meth:`_run_deadlines` drains
+        timer state is one list scan; :meth:`_run_deadlines` drains
         expiries through ``WorkerSlotState.due()`` and re-arms.
         """
         st = self._st
@@ -485,12 +485,12 @@ class SwitchMLWorker:
             base = self.timeout_s
         else:
             base = self.current_timeout()
-        duration = base * st.backoff_v[idx]
+        duration = base * st.backoff[idx]
         if duration > self.max_timeout_s:
             duration = self.max_timeout_s
         d = self.sim.now + duration
-        st.deadline_v[idx] = d
-        st.arm_seq_v[idx] = self._arm_counter
+        st.deadline[idx] = d
+        st.arm_seq[idx] = self._arm_counter
         self._arm_counter += 1
         if d < self._deadline_armed_at:
             self._rearm_singleton(d)
@@ -515,15 +515,13 @@ class SwitchMLWorker:
         st = self._st
         now = self.sim.now
         fired = 0
-        due = st.due(now)
-        if due.size:
-            deadline = st.deadline_v
-            for i in due.tolist():
-                deadline[i] = _INF
-                self._on_timeout(i)
-                fired += 1
-                if not self._active:
-                    break
+        deadline = st.deadline
+        for i in st.due(now):
+            deadline[i] = _INF
+            self._on_timeout(i)
+            fired += 1
+            if not self._active:
+                break
         if self._active:
             # _on_timeout -> _arm_deadline may already have re-armed;
             # ensure the singleton covers the pool-wide minimum
@@ -661,8 +659,9 @@ class SwitchMLWorker:
             self.epoch = epoch
         if pool_size is not None and pool_size != self.s:
             self.s = pool_size
-            # fresh pool geometry: a fresh SoA core (backoff and versions
-            # restart too -- the switch's registers were reinstalled)
+            # fresh pool geometry: a fresh protocol core (backoff and
+            # versions restart too -- the switch's registers were
+            # reinstalled)
             self._st = WorkerSlotState(pool_size)
             self._bind_slot_views()
 
@@ -779,7 +778,7 @@ class SwitchMLWorker:
         self._remaining = total_packets
         self._reset_slot_state()
         if reset_versions:
-            self._st.next_ver[:] = 0
+            self._next_ver[:] = [0] * self.s
         self.failed = False
         self.crashed = False
         self._base_off = offset_elements
@@ -864,9 +863,9 @@ class SwitchMLWorker:
         # matching the slot's outstanding chunk has already been consumed.
         # Epoch first: a stale-epoch idx may be out of range here.  The
         # outstanding chunk's coordinates are read off its packet object
-        # (kept consistent with the SoA ``off``/``ver`` arrays by
-        # _send_chunk): this check runs per received result, and a list
-        # access plus attribute reads beat two NumPy scalar lookups.
+        # (kept consistent with the core's ``off``/``ver`` lists by
+        # _send_chunk): the packet is fetched anyway (None = consumed),
+        # and its attributes save two more list lookups per result.
         if p.epoch != self.epoch:
             outstanding = None
         else:
@@ -879,9 +878,8 @@ class SwitchMLWorker:
             stats.stale_results_ignored += 1
             return
 
-        st = self._st
         if self._coalesce:
-            st.deadline_v[idx] = _INF
+            self._st.deadline[idx] = _INF
         elif (timer := self._slot_timer[idx]) is not None:
             timer.cancel()
             self._slot_timer[idx] = None
@@ -903,8 +901,6 @@ class SwitchMLWorker:
             # lets a low-biased SRTT re-trigger the same spurious
             # timeout forever).  _observe_rtt's body, inlined: this runs
             # once per in-order result.
-            st.rtt_sum_v[idx] += rtt_sample
-            st.rtt_count_v[idx] += 1
             srtt = self._srtt
             if srtt is None:
                 self._srtt = rtt_sample
@@ -946,7 +942,6 @@ class SwitchMLWorker:
         self._flush_outbox()
         self._active = False
         self.stats.finish_time = self.sim.now
-        self._st.tat_finish = self.sim.now
         self._h_tat.observe(self.stats.tensor_aggregation_time)
         if self._tracer.enabled:
             self._tracer.span(

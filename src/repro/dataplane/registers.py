@@ -14,9 +14,10 @@ wraparound harmless in practice, and the tests exercise both sides of
 that boundary.
 
 Performance notes: SwitchML processes one packet per simulator event, so
-these methods are the simulation's inner loop.  Scalar cells (counters,
-``seen`` bits) live in a plain Python list -- integer ops there are ~10x
-cheaper than single-element numpy access -- while value cells live in a
+these methods are the simulation's inner loop.  Narrow cells (counters,
+``seen`` bits) are always a plain Python list, ``RegisterArray.cells``,
+which the programs index directly -- integer ops there are ~10x cheaper
+than single-element numpy access -- while value cells are always a
 32-bit numpy array whose native two's-complement wraparound *is* the ALU
 semantics, operated on through contiguous slices.
 """
@@ -41,25 +42,15 @@ class RegisterArray:
         Cell width; 32 for SwitchML value cells.  Cells behave as signed
         two's-complement integers of this width (1- and 8-bit cells are
         unsigned flags/counters, as in the P4 program).
-    numpy_narrow:
-        Store narrow (1/8/16-bit) cells in a contiguous ``uint8``/
-        ``uint16`` NumPy array instead of a Python list.  Scalar access
-        is a few times slower than a list index, but the storage is a
-        raw buffer: a same-storage ``memoryview`` gives builtin-int
-        scalar access, and slices reset whole ranges at once (what
-        :class:`repro.core.protocol.SwitchSlotState` uses).
+
+    Narrow (1/8/16-bit) cells are a plain list, public as ``cells`` so
+    per-packet code can index it directly (bumping ``accesses`` itself);
+    wide cells are a NumPy array behind the range operations.
     """
 
     _DTYPES = {32: np.int32, 64: np.int64}
-    _NARROW_DTYPES = {1: np.uint8, 8: np.uint8, 16: np.uint16}
 
-    def __init__(
-        self,
-        name: str,
-        length: int,
-        width_bits: int = 32,
-        numpy_narrow: bool = False,
-    ):
+    def __init__(self, name: str, length: int, width_bits: int = 32):
         if length <= 0:
             raise ValueError(f"register array {name}: length must be positive")
         if width_bits not in (1, 8, 16, 32, 64):
@@ -68,40 +59,28 @@ class RegisterArray:
         self.length = length
         self.width_bits = width_bits
         self.accesses = 0
-        self._mask: int | None = None
         if width_bits in self._DTYPES:
             self._cells: np.ndarray | None = np.zeros(
                 length, dtype=self._DTYPES[width_bits]
             )
-            self._scalar: list[int] | None = None
-        elif numpy_narrow:
-            # narrow cells, batch-addressable: unsigned NumPy storage
-            # with explicit masking (uint8 wraps mod 256, not mod 2 --
-            # the mask keeps 1-bit semantics exact).
-            self._cells = np.zeros(length, dtype=self._NARROW_DTYPES[width_bits])
-            self._scalar = None
-            self._mask = (1 << width_bits) - 1
+            self.cells: list[int] | None = None
         else:
             # narrow cells: scalar access dominates; Python ints win.
             self._cells = None
-            self._scalar = [0] * length
+            self.cells = [0] * length
             self._mask = (1 << width_bits) - 1
 
     # -- single-cell ops ------------------------------------------------
     def read(self, index: int) -> int:
         self.accesses += 1
-        if self._scalar is not None:
-            return self._scalar[index]
+        if self.cells is not None:
+            return self.cells[index]
         return int(self._cells[index])
 
     def write(self, index: int, value: int) -> None:
         self.accesses += 1
-        if self._scalar is not None:
-            self._scalar[index] = value & self._mask
-        elif self._mask is not None:
-            # narrow numpy cells keep the list storage's unsigned
-            # mask semantics
-            self._cells[index] = value & self._mask
+        if self.cells is not None:
+            self.cells[index] = value & self._mask
         else:
             # numpy wraps on assignment of out-of-range ints via masking
             self._cells[index] = self._wrap_scalar(value)
@@ -109,13 +88,9 @@ class RegisterArray:
     def add(self, index: int, value: int) -> int:
         """Read-modify-write add; returns the post-add cell value."""
         self.accesses += 1
-        if self._scalar is not None:
-            result = (self._scalar[index] + value) & self._mask
-            self._scalar[index] = result
-            return result
-        if self._mask is not None:
-            result = (int(self._cells[index]) + value) & self._mask
-            self._cells[index] = result
+        if self.cells is not None:
+            result = (self.cells[index] + value) & self._mask
+            self.cells[index] = result
             return result
         result = self._wrap_scalar(int(self._cells[index]) + value)
         self._cells[index] = result
@@ -185,17 +160,17 @@ class RegisterArray:
         return self.length * self.width_bits // 8
 
     def reset(self) -> None:
-        # clear in place: programs alias `_scalar` for their hot paths,
+        # clear in place: programs alias `cells` for their hot paths,
         # and rebinding would silently detach those aliases
-        if self._scalar is not None:
-            self._scalar[:] = [0] * self.length
+        if self.cells is not None:
+            self.cells[:] = [0] * self.length
         else:
             self._cells[:] = 0
 
     def snapshot(self) -> np.ndarray:
         """Copy of the raw cell contents (for tests and debugging)."""
-        if self._scalar is not None:
-            return np.array(self._scalar, dtype=np.int64)
+        if self.cells is not None:
+            return np.array(self.cells, dtype=np.int64)
         return self._cells.astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -212,16 +187,10 @@ class RegisterFile:
     def __init__(self) -> None:
         self._arrays: dict[str, RegisterArray] = {}
 
-    def allocate(
-        self,
-        name: str,
-        length: int,
-        width_bits: int = 32,
-        numpy_narrow: bool = False,
-    ) -> RegisterArray:
+    def allocate(self, name: str, length: int, width_bits: int = 32) -> RegisterArray:
         if name in self._arrays:
             raise ValueError(f"register array {name} already allocated")
-        array = RegisterArray(name, length, width_bits, numpy_narrow=numpy_narrow)
+        array = RegisterArray(name, length, width_bits)
         self._arrays[name] = array
         return array
 

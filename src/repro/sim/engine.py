@@ -24,9 +24,10 @@ engine splits pending events in two:
 Because every wheel entry's time is at or beyond the horizon and every
 heap entry's time is below it, the heap head is always the global
 minimum, and pouring whole buckets in ``(time, seq)`` heap order keeps
-event ordering bit-for-bit identical to the single-heap scheduler
-(``scheduler="heap"`` keeps the legacy layout; the property tests in
-``tests/sim/test_scheduler_equivalence.py`` prove equivalence).
+event ordering bit-for-bit identical to a single heap.  A granularity
+no simulation reaches (``wheel_granularity_s=1e9``) puts every entry in
+the near heap -- that single heap -- which is the oracle the property
+tests in ``tests/sim/test_scheduler_equivalence.py`` compare against.
 
 Cancelled entries that do sit in the near heap are removed by periodic
 *compaction*: when the dead fraction of all pending entries exceeds
@@ -108,10 +109,6 @@ class Simulator:
         substream via :meth:`rng`; the stream is seeded from
         ``(seed, name)`` so adding a new consumer never perturbs the
         randomness seen by existing ones.
-    scheduler:
-        ``"wheel"`` (default) uses the timer-wheel/heap hybrid;
-        ``"heap"`` keeps every entry in the single legacy heap.  Both
-        fire the exact same ``(time, seq)`` sequence.
     wheel_granularity_s:
         Bucket width of the timer wheel.  The default (64 us) keeps
         packet-scale events (ns..us apart) in the near heap while
@@ -134,19 +131,15 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        scheduler: str = "wheel",
         wheel_granularity_s: float = 64e-6,
         compact_dead_fraction: float = 0.5,
         compact_min_dead: int = 512,
     ):
-        if scheduler not in ("wheel", "heap"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
         if wheel_granularity_s <= 0:
             raise ValueError("wheel granularity must be positive")
         if not 0.0 < compact_dead_fraction <= 1.0:
             raise ValueError("compact_dead_fraction must be in (0, 1]")
         self.seed = int(seed)
-        self.scheduler = scheduler
         self.now: float = 0.0
         self._heap: list[tuple] = []
         # plain int, bumped inline at each schedule site: a counter object
@@ -168,7 +161,7 @@ class Simulator:
         self._gran = float(wheel_granularity_s)
         self._buckets: dict[int, list[tuple]] = {}
         self._bucket_heap: list[int] = []
-        self._horizon_idx = 1 if scheduler == "wheel" else None
+        self._horizon_idx = 1
         # set by stop(): makes run_deadline return after the callback
         # that is running
         self._stop = False
@@ -218,9 +211,8 @@ class Simulator:
         event = Event(time, seq, fn, args)
         event._sim = self
         self._live += 1
-        horizon = self._horizon_idx
-        if horizon is not None and int(time / self._gran) >= horizon:
-            bucket = int(time / self._gran)
+        bucket = int(time / self._gran)
+        if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
             if lst is None:
@@ -248,9 +240,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        horizon = self._horizon_idx
-        bucket = -1 if horizon is None else int(time / self._gran)
-        if horizon is not None and bucket >= horizon:
+        bucket = int(time / self._gran)
+        if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
             if lst is None:
@@ -270,9 +261,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        horizon = self._horizon_idx
-        bucket = -1 if horizon is None else int(time / self._gran)
-        if horizon is not None and bucket >= horizon:
+        bucket = int(time / self._gran)
+        if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
             if lst is None:

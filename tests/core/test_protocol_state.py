@@ -1,37 +1,44 @@
-"""Tests for the data-oriented protocol core (`repro.core.protocol`).
+"""Tests for the protocol core (`repro.core.protocol`).
 
-Covers the structure-of-arrays state both protocol ends share: snapshot
-/ restore round trips, in-place resets that keep hot-path aliases live,
-and the deadline ordering contract burst execution relies on.
+Covers the per-slot state both protocol ends share: one list per field,
+in-place resets that keep hot-path aliases attached, snapshots, and the
+deadline ordering contract the window path relies on.
 """
-
-import math
 
 import numpy as np
 import pytest
 
+from repro import SwitchMLConfig, SwitchMLJob
 from repro.core.protocol import SwitchSlotState, WorkerSlotState
+from repro.core.switch_program import SwitchMLProgram
 
 INF = float("inf")
 
 
 def _scrambled_worker_state(s: int = 8) -> WorkerSlotState:
     st = WorkerSlotState(s)
-    st.off[:] = np.arange(s) * 32
-    st.ver[:] = np.arange(s) % 2
-    st.next_ver[:] = (np.arange(s) + 1) % 2
-    st.deadline[:] = np.arange(s) * 1e-3 + 1e-3
-    st.arm_seq[:] = np.arange(s) + 10
-    st.rtt_sum[:] = np.arange(s) * 1e-6
-    st.rtt_count[:] = np.arange(s)
     for i in range(s):
+        st.off[i] = i * 32
+        st.ver[i] = i % 2
+        st.next_ver[i] = (i + 1) % 2
+        st.deadline[i] = i * 1e-3 + 1e-3
+        st.arm_seq[i] = i + 10
         st.sent_at[i] = i * 0.5
         st.retransmitted[i] = bool(i % 2)
         st.retries[i] = i
         st.backoff[i] = float(1 << i)
-    st.tat_start = 1.25
-    st.tat_finish = 9.75
     return st
+
+
+def _lists(obj) -> dict[str, list]:
+    return {name: v for name, v in vars(obj).items() if isinstance(v, list)}
+
+
+def _brute_force_due(st: WorkerSlotState, now: float) -> list[int]:
+    return sorted(
+        (i for i in range(st.s) if st.deadline[i] <= now),
+        key=lambda i: (st.deadline[i], st.arm_seq[i]),
+    )
 
 
 class TestWorkerSlotState:
@@ -40,26 +47,15 @@ class TestWorkerSlotState:
             WorkerSlotState(0)
 
     def test_field_partition_is_exhaustive(self):
+        # every attribute but the pool size is a per-slot list of
+        # builtins, and snapshot() covers exactly those lists
         st = WorkerSlotState(4)
-        for name in WorkerSlotState.ARRAY_FIELDS:
-            assert isinstance(getattr(st, name), np.ndarray), name
-            # ... with a same-storage scalar view beside it
-            assert getattr(st, name + "_v").obj is getattr(st, name), name
-        for name in WorkerSlotState.SCALAR_FIELDS:
-            assert isinstance(getattr(st, name), float), name
-
-    def test_snapshot_restore_round_trip(self):
-        st = _scrambled_worker_state()
-        snap = st.snapshot()
-        st.begin(start_time=3.0)  # clobber (almost) everything
-        st.restore(snap)
-        fresh = _scrambled_worker_state()
-        for name in WorkerSlotState.ARRAY_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(st, name), getattr(fresh, name), err_msg=name
-            )
-        for name in WorkerSlotState.SCALAR_FIELDS:
-            assert getattr(st, name) == getattr(fresh, name), name
+        lists = _lists(st)
+        assert set(vars(st)) == set(lists) | {"s"}
+        for name, values in lists.items():
+            assert len(values) == 4, name
+            assert type(values[0]) in (int, float, bool), name
+        assert set(st.snapshot()) == set(lists)
 
     def test_snapshot_is_deep(self):
         st = _scrambled_worker_state()
@@ -69,92 +65,70 @@ class TestWorkerSlotState:
         assert snap["off"][0] != 999
         assert snap["retries"][0] != 999
 
-    def test_restore_preserves_aliases(self):
-        st = _scrambled_worker_state()
-        off_alias = st.off
-        retries_alias = st.retries
-        snap = st.snapshot()
-        st.begin()
-        st.restore(snap)
-        assert st.off is off_alias
-        assert st.retries is retries_alias
-        assert off_alias[3] == 3 * 32
-        assert retries_alias[3] == 3
-
     def test_begin_resets_in_place_and_keeps_sticky_fields(self):
         st = _scrambled_worker_state()
-        next_ver_before = st.next_ver.copy()
+        next_ver_before = list(st.next_ver)
         backoff_before = list(st.backoff)
-        deadline_alias = st.deadline
-        st.begin(start_time=2.5)
+        aliases = _lists(st)
+        st.begin()
         # per-aggregation state cleared ...
-        assert not st.off.any()
-        assert not st.ver.any()
-        assert not st.sent_at.any()
-        assert not st.retransmitted.any()
-        assert not st.retries.any()
-        assert not st.rtt_sum.any()
-        assert st.tat_start == 2.5
-        assert math.isnan(st.tat_finish)
+        assert not any(st.off)
+        assert not any(st.ver)
+        assert not any(st.sent_at)
+        assert not any(st.arm_seq)
+        assert not any(st.retransmitted)
+        assert not any(st.retries)
+        assert all(d == INF for d in st.deadline)
         # ... in place ...
-        assert st.deadline is deadline_alias
-        assert all(d == INF for d in deadline_alias)
+        for name, alias in aliases.items():
+            assert getattr(st, name) is alias, name
         # ... while stream-continuity state survives (Appendix B)
-        np.testing.assert_array_equal(st.next_ver, next_ver_before)
-        assert list(st.backoff) == backoff_before
+        assert st.next_ver == next_ver_before
+        assert st.backoff == backoff_before
 
     def test_due_orders_by_deadline_then_arm_seq(self):
         st = WorkerSlotState(6)
         #            slot:    0     1     2     3     4    5
         st.deadline[:] = [3e-3, 1e-3, 2e-3, 1e-3, INF, 1e-3]
         st.arm_seq[:] = [0, 7, 1, 2, 3, 5]
-        due = list(st.due(2e-3))
         # expired: deadline <= 2e-3 -> slots 1, 2, 3, 5; ties at 1e-3
         # fire in arming order (3: seq 2, 5: seq 5, 1: seq 7)
-        assert due == [3, 5, 1, 2]
+        assert st.due(2e-3) == [3, 5, 1, 2]
 
-    def test_due_argpartition_matches_small_pool_reference(self):
-        # pools above ARGPARTITION_THRESHOLD take the argpartition path;
-        # it must return exactly the (deadline, arm_seq)-ordered expired
-        # set the nonzero+lexsort reference produces
-        rng = np.random.default_rng(3)
-        s = 8 * WorkerSlotState.ARGPARTITION_THRESHOLD
+    @pytest.mark.parametrize("s", [6, 128, 512])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_due_matches_brute_force_sort(self, s, seed):
+        rng = np.random.default_rng([seed, s])
         st = WorkerSlotState(s)
-        dl = rng.uniform(0.0, 2e-3, size=s)
-        dl[rng.random(s) < 0.4] = INF
-        dl[:48] = 1e-3  # a fat tie right at the expiry boundary
-        st.deadline[:] = dl
-        st.arm_seq[:] = rng.permutation(s)
-        now = 1e-3
-        expect = np.nonzero(dl <= now)[0]
-        expect = expect[np.lexsort((st.arm_seq[expect], dl[expect]))]
-        assert expect.size > 1  # the partition path, not an edge case
-        assert list(st.due(now)) == list(expect)
+        # a coarse grid makes exact deadline ties common; a third unarmed
+        st.deadline[:] = [
+            INF if rng.random() < 0.3 else float(rng.integers(0, 8)) * 1e-4
+            for _ in range(s)
+        ]
+        st.arm_seq[:] = [int(x) for x in rng.permutation(s)]
+        for now in (-1.0, 0.0, 2e-4, 3.5e-4, 7e-4, 1.0):
+            assert st.due(now) == _brute_force_due(st, now), now
+        assert len(st.due(1.0)) == sum(d != INF for d in st.deadline)
 
-    def test_due_argpartition_none_and_all_expired(self):
-        s = 2 * WorkerSlotState.ARGPARTITION_THRESHOLD
+    @pytest.mark.parametrize("s", [6, 128, 512])
+    def test_due_none_and_all_expired(self, s):
         st = WorkerSlotState(s)
-        assert st.due(1.0).size == 0  # nothing armed
-        st.deadline[:] = 5e-4  # everything expired, tied
-        st.arm_seq[:] = np.arange(s)[::-1]
-        assert list(st.due(1e-3)) == list(range(s - 1, -1, -1))
+        assert st.due(1.0) == []  # nothing armed
+        st.deadline[:] = [5e-4] * s  # everything expired, tied
+        st.arm_seq[:] = list(range(s))[::-1]
+        assert st.due(1e-3) == list(range(s - 1, -1, -1))
+        assert st.due(4e-4) == []  # armed, none expired yet
 
     def test_min_deadline_and_clear(self):
         st = WorkerSlotState(4)
+        deadline = st.deadline
         assert st.min_deadline() == INF
         st.deadline[2] = 0.5
         st.deadline[1] = 0.25
         assert st.min_deadline() == 0.25
         st.clear_deadlines()
         assert st.min_deadline() == INF
-
-    def test_per_slot_mean_rtt_nan_for_no_samples(self):
-        st = WorkerSlotState(3)
-        st.rtt_sum[0] = 4e-6
-        st.rtt_count[0] = 2
-        mean = st.per_slot_mean_rtt()
-        assert mean[0] == pytest.approx(2e-6)
-        assert math.isnan(mean[1]) and math.isnan(mean[2])
+        assert st.deadline is deadline
 
 
 class TestSwitchSlotState:
@@ -165,6 +139,7 @@ class TestSwitchSlotState:
         st.seen.write(1 * n + 0, 1)
         st.seen.write(1 * n + 2, 1)
         st.seen_pop[1] = 2
+        st.off_cells[1] = 64
         return st
 
     def test_validation(self):
@@ -173,36 +148,91 @@ class TestSwitchSlotState:
         with pytest.raises(ValueError):
             SwitchSlotState(2, 0, 2)
 
-    def test_snapshot_restore_round_trip(self):
+    def test_snapshot_is_a_copy(self):
         st = self._scrambled()
         snap = st.snapshot()
         st.reset()
+        assert list(snap["pool"][:4]) == [5, 6, 7, 8]
+        assert snap["count"][1] == 2
+        assert list(snap["seen"][3:6]) == [1, 0, 1]
+        assert snap["seen_pop"][1] == 2 and snap["off"][1] == 64
         assert st.count.read(1) == 0 and st.seen_pop[1] == 0
-        st.restore(snap)
-        assert list(st.pool.read_range(0, 4)) == [5, 6, 7, 8]
-        assert st.count.read(1) == 2
-        assert st.seen.read(1 * st.n + 0) == 1
-        assert st.seen.read(1 * st.n + 1) == 0
-        assert st.seen_pop[1] == 2
-
-    def test_restore_preserves_hot_path_aliases(self):
-        st = self._scrambled()
-        seen_alias = st.seen_bits
-        count_alias = st.count_cells
-        pop_alias = st.seen_pop
-        snap = st.snapshot()
-        st.reset()
-        st.restore(snap)
-        assert st.seen_bits is seen_alias
-        assert st.count_cells is count_alias
-        assert st.seen_pop is pop_alias
-        assert count_alias[1] == 2
-        assert seen_alias[1 * st.n + 2] == 1
 
     def test_reset_clears_in_place(self):
         st = self._scrambled()
-        seen_alias = st.seen_bits
+        seen_alias = st.seen.cells
+        count_alias = st.count.cells
         pop_alias = st.seen_pop
+        off_alias = st.off_cells
         st.reset()
-        assert not any(seen_alias)
-        assert not pop_alias.any()
+        assert st.seen.cells is seen_alias and not any(seen_alias)
+        assert st.count.cells is count_alias and not any(count_alias)
+        assert st.seen_pop is pop_alias and not any(pop_alias)
+        assert st.off_cells is off_alias and set(off_alias) == {-1}
+
+
+# ----------------------------------------------------------------------
+# the adapters' aliases stay attached to the core's lists
+# ----------------------------------------------------------------------
+
+_WORKER_ALIASES = {
+    "_slot_off": "off", "_slot_ver": "ver", "_next_ver": "next_ver",
+    "_slot_sent_at": "sent_at", "_slot_retransmitted": "retransmitted",
+    "_slot_retries": "retries", "_slot_backoff": "backoff",
+}
+
+
+def _assert_worker_bound(w):
+    for alias, field in _WORKER_ALIASES.items():
+        assert getattr(w, alias) is getattr(w._st, field), alias
+
+
+def _assert_program_bound(prog):
+    st = prog.state
+    assert prog._seen_bits is st.seen.cells
+    assert prog._count_cells is st.count.cells
+    assert prog._seen_pop is st.seen_pop
+    assert prog._off_cells is st.off_cells
+
+
+class TestAliases:
+    def test_worker_aliases_survive_begin_and_clear_deadlines(self):
+        job = SwitchMLJob(SwitchMLConfig(
+            num_workers=2, pool_size=8, elements_per_packet=32, seed=1,
+            burst_epsilon=2e-5,
+        ))
+        w = job.workers[0]
+        _assert_worker_bound(w)
+        st, deadline = w._st, w._st.deadline
+        assert job.all_reduce(num_elements=32 * 8 * 4, verify=False).completed
+        assert job.all_reduce(num_elements=32 * 8 * 2, verify=False).completed
+        assert w._st is st and st.deadline is deadline
+        _assert_worker_bound(w)
+        _assert_program_bound(job.program)  # after two begin_reduction()s
+        st.clear_deadlines()
+        assert st.deadline is deadline
+        _assert_worker_bound(w)
+
+    def test_worker_reconfigure_rebinds(self):
+        job = SwitchMLJob(SwitchMLConfig(num_workers=2, pool_size=8,
+                                         elements_per_packet=32, seed=1))
+        w = job.workers[0]
+        old = w._st
+        w.reconfigure(pool_size=4)
+        assert w._st is not old and w._st.s == 4
+        _assert_worker_bound(w)
+        w._st.backoff[3] = 16.0
+        assert w._slot_backoff[3] == 16.0
+
+    def test_program_aliases_survive_reset_and_begin_reduction(self):
+        prog = SwitchMLProgram(3, 4, 2)
+        _assert_program_bound(prog)
+        prog.state.seen.cells[5] = 1
+        prog.state.off_cells[2] = 96
+        prog.state.reset()
+        _assert_program_bound(prog)
+        assert prog._seen_bits[5] == 0 and prog._off_cells[2] == -1
+        prog._off_cells[2] = 96
+        prog.begin_reduction()
+        _assert_program_bound(prog)
+        assert set(prog.state.off_cells) == {-1}

@@ -2,7 +2,7 @@
 
 PR 3 made ``RegisterArray.reset()`` clear storage *in place* so that
 hot-path aliases -- NumPy views from ``read_range_view``, the arrays
-returned by ``add_range``, and the ``_scalar`` list the switch program
+returned by ``add_range``, and the ``cells`` list the switch program
 binds -- stay attached across pool recycling.  These tests pin that
 invariant: a reset must be visible *through* a previously taken view,
 and writes through the register must be visible in old views afterward.
@@ -52,13 +52,13 @@ class TestViewLivenessAcrossReset:
 
     def test_scalar_alias_stays_live_across_reset(self):
         # narrow registers use scalar list storage; the switch program
-        # aliases `_scalar` directly on its per-packet path
+        # aliases `cells` directly on its per-packet path
         reg = RegisterArray("seen", 8, width_bits=1)
-        alias = reg._scalar
+        alias = reg.cells
         reg.write(3, 1)
         assert alias[3] == 1
         reg.reset()
-        assert alias is reg._scalar
+        assert alias is reg.cells
         assert alias[3] == 0
 
     def test_register_file_reset_preserves_aliases(self):
@@ -66,10 +66,10 @@ class TestViewLivenessAcrossReset:
         pool = rf.allocate("pool", 8, width_bits=32)
         seen = rf.allocate("seen", 8, width_bits=1)
         pool_view = pool.read_range_view(0, 8)
-        seen_alias = seen._scalar
+        seen_alias = seen.cells
         pool.write(0, 42)
         seen.write(0, 1)
         rf.reset()
         assert pool_view[0] == 0
         assert seen_alias[0] == 0
-        assert seen_alias is seen._scalar
+        assert seen_alias is seen.cells

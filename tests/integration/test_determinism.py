@@ -1,28 +1,32 @@
 """Engine and packet-path choices must not change simulation results.
 
-* the timer wheel vs. the legacy heap produce identical simulations --
-  event order (via trace ticks and event counts), final tensors, stats;
+* the timer wheel vs. a single heap (the engine with a wheel bucket no
+  run reaches) produce identical simulations -- event order (via trace
+  ticks and event counts), final tensors, stats;
 * the zero-copy buffer-reuse paths (worker freelists, pooled switch
   multicast) vs. fresh allocations likewise.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import repro.core.job
 from repro.core.job import SwitchMLConfig, SwitchMLJob
 from repro.net.loss import BernoulliLoss, NoLoss
+from repro.sim.engine import Simulator
 
 
-def _run(scheduler: str, reuse: bool | None, loss: float = 0.01):
+def _run(reuse: bool | None, loss: float = 0.01):
     cfg = SwitchMLConfig(
         num_workers=4,
         pool_size=16,
         elements_per_packet=4,
         seed=11,
         loss_factory=(lambda: BernoulliLoss(loss)) if loss else NoLoss,
-        scheduler=scheduler,
         reuse_buffers=reuse,
         timeout_s=1e-4,
     )
@@ -58,13 +62,18 @@ def _fingerprint(job, result):
 
 class TestWheelVsHeapDeterminism:
     @pytest.mark.parametrize("loss", [0.0, 0.01, 0.05])
-    def test_identical_simulation_results(self, loss):
-        heap_fp = _fingerprint(*_run("heap", reuse=None, loss=loss))
-        wheel_fp = _fingerprint(*_run("wheel", reuse=None, loss=loss))
-        assert heap_fp == wheel_fp
+    def test_identical_simulation_results(self, loss, monkeypatch):
+        wheel_fp = _fingerprint(*_run(reuse=None, loss=loss))
+        monkeypatch.setattr(
+            repro.core.job, "Simulator",
+            functools.partial(Simulator, wheel_granularity_s=1e9),
+        )
+        heap_job, heap_result = _run(reuse=None, loss=loss)
+        assert heap_job.sim._horizon_idx == 1  # no bucket was ever poured
+        assert _fingerprint(heap_job, heap_result) == wheel_fp
 
     def test_correct_aggregate_under_loss(self):
-        _, result = _run("wheel", reuse=None, loss=0.02)
+        _, result = _run(reuse=None, loss=0.02)
         assert result.completed
         for t in result.results:
             assert t is not None
@@ -77,6 +86,6 @@ class TestWheelVsHeapDeterminism:
 class TestBufferReuseEquivalence:
     @pytest.mark.parametrize("loss", [0.0, 0.02])
     def test_reuse_on_off_identical(self, loss):
-        on_fp = _fingerprint(*_run("wheel", reuse=True, loss=loss))
-        off_fp = _fingerprint(*_run("wheel", reuse=False, loss=loss))
+        on_fp = _fingerprint(*_run(reuse=True, loss=loss))
+        off_fp = _fingerprint(*_run(reuse=False, loss=loss))
         assert on_fp == off_fp

@@ -1,15 +1,14 @@
-"""No NumPy scalar on the simulated clock, in the SoA cores' scalar
-handles, or in results.
+"""No NumPy scalar on the simulated clock, in the protocol cores' per-slot
+lists, or in results.
 
 ``np.float64`` carries the same IEEE bits as ``float`` but its
 arithmetic and compares run several times slower, and it is contagious:
 one NumPy-typed timer deadline that *fires* becomes ``sim.now`` and
 from there every busy chain, arrival time and heap key derived from it.
-The SoA cores therefore expose each array twice -- the ndarray for
-whole-batch bodies, a ``memoryview`` of the same storage for
-one-element access -- and the per-packet path reads only the views.
-These tests pin that: every configuration below makes timers fire, and
-the clock is audited during the run (stepping loop) and after it.
+The protocol cores therefore hold their per-slot state in plain lists
+of builtins, which is what the per-packet code reads.  These tests pin
+that: every configuration below makes timers fire, and the clock is
+audited during the run (stepping loop) and after it.
 """
 
 import gc
@@ -25,7 +24,7 @@ from repro.controlplane import (
     FaultInjector,
     FaultPlan,
 )
-from repro.core.protocol import SwitchSlotState, WorkerSlotState
+from repro.core.protocol import SwitchSlotState
 from repro.dataplane.registers import RegisterArray
 from repro.net.fabric import (
     CrashSpine,
@@ -225,78 +224,42 @@ def test_fabric_crash_spine_clock_is_builtin_float():
 
 
 # ----------------------------------------------------------------------
-# one storage, two handles
+# the protocol cores hold builtins only
 # ----------------------------------------------------------------------
 
-def _aliased(array, view):
-    return isinstance(view, memoryview) and view.obj is array
+def _state_lists(st):
+    lists = {n: v for n, v in vars(st).items() if isinstance(v, list)}
+    if isinstance(st, SwitchSlotState):
+        lists["count.cells"] = st.count.cells
+        lists["seen.cells"] = st.seen.cells
+    return lists
 
 
-class TestScalarViews:
-    def test_worker_views_hand_back_builtins(self):
-        st = WorkerSlotState(4)
-        for name in WorkerSlotState.ARRAY_FIELDS:
-            view = getattr(st, name + "_v")
-            assert _aliased(getattr(st, name), view), name
-            assert type(view[0]) in (int, float, bool), name
-        st.backoff[2] = 8.0
-        assert st.backoff_v[2] == 8.0
-        st.deadline_v[1] = 0.5
-        assert st.deadline[1] == 0.5 and st.min_deadline() == 0.5
-
-    def test_worker_views_survive_snapshot_restore_begin(self):
-        st = WorkerSlotState(4)
-        views = {n: getattr(st, n + "_v") for n in WorkerSlotState.ARRAY_FIELDS}
-        st.off[1], st.backoff[1], st.retransmitted[1] = 64, 4.0, True
-        snap = st.snapshot()
-        st.begin(start_time=1.0)
-        assert views["off"][1] == 0 and views["backoff"][1] == 4.0  # sticky
-        st.backoff[1] = 1.0
-        st.restore(snap)
-        for name in WorkerSlotState.ARRAY_FIELDS:
-            assert getattr(st, name + "_v") is views[name], name
-            assert _aliased(getattr(st, name), views[name]), name
-        assert views["off"][1] == 64 and views["backoff"][1] == 4.0
-        assert views["retransmitted"][1] is True
-
-    def test_switch_views_survive_reset_restore(self):
-        st = SwitchSlotState(num_workers=3, pool_size=4, elements_per_packet=2)
-        handles = {
-            "seen": (st.seen_bits, st.seen_v),
-            "count": (st.count_cells, st.count_v),
-            "pop": (st.seen_pop, st.pop_v),
-            "off": (st.off_cells, st.off_v),
-        }
-        for name, (array, view) in handles.items():
-            assert _aliased(array, view), name
-        st.seen_v[5], st.count_v[2], st.pop_v[2], st.off_v[2] = 1, 2, 1, 96
-        assert (st.seen_bits[5], st.count_cells[2], st.seen_pop[2], st.off_cells[2]) \
-            == (1, 2, 1, 96)
-        snap = st.snapshot()
-        st.reset()
-        assert (st.seen_v[5], st.count_v[2], st.pop_v[2], st.off_v[2]) == (0, 0, 0, -1)
-        st.restore(snap)
-        assert (st.seen_v[5], st.count_v[2], st.pop_v[2], st.off_v[2]) == (1, 2, 1, 96)
-        for name, (array, view) in handles.items():
-            assert _aliased(array, view), name
-        assert type(st.off_v[2]) is int and type(st.count_v[2]) is int
-
-    def test_worker_reconfigure_rebinds_views_with_arrays(self):
-        job = SwitchMLJob(SwitchMLConfig(num_workers=2, pool_size=8,
-                                         elements_per_packet=K, seed=1))
-        w = job.workers[0]
-        old = w._st
-        w.reconfigure(pool_size=4)
-        st = w._st
-        assert st is not old and st.s == 4
-        st.backoff[3] = 16.0
-        assert w._slot_backoff[3] == 16.0 and type(w._slot_backoff[3]) is float
-        for alias, name in (
-            (w._slot_off, "off"), (w._slot_ver, "ver"), (w._next_ver, "next_ver"),
-            (w._slot_sent_at, "sent_at"), (w._slot_retransmitted, "retransmitted"),
-            (w._slot_retries, "retries"), (w._slot_backoff, "backoff"),
-        ):
-            assert _aliased(getattr(st, name), alias), name
+@pytest.mark.parametrize("eps", [0.0, 2e-5], ids=["per_packet", "window"])
+def test_protocol_state_lists_hold_builtins(eps):
+    """Every per-slot list of both cores, after a lossy run on either
+    path, holds builtin ``int`` / ``float`` / ``bool`` only: these are
+    what the per-packet code reads into deadlines and the clock."""
+    job = SwitchMLJob(SwitchMLConfig(
+        num_workers=4, pool_size=16, elements_per_packet=K, seed=7,
+        loss_factory=_lossy, burst_epsilon=eps,
+    ))
+    res = job.all_reduce(_tensors(4, K * 16 * 24), verify=True)
+    assert res.completed and res.retransmissions > 0
+    states = [w._st for w in job.workers] + [job.program.state]
+    kinds = {
+        "off": int, "ver": int, "next_ver": int, "arm_seq": int,
+        "retries": int, "sent_at": float, "deadline": float,
+        "backoff": float, "retransmitted": bool,
+        "seen_pop": int, "off_cells": int, "count.cells": int,
+        "seen.cells": int,
+    }
+    seen = set()
+    for st in states:
+        for name, values in _state_lists(st).items():
+            seen.add(name)
+            assert {type(v) for v in values} <= {kinds[name]}, name
+    assert seen == set(kinds)
 
 
 class TestRegisterWrap:

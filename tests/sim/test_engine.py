@@ -156,9 +156,9 @@ class TestRunControl:
 
 
 class TestStop:
-    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-    def test_stop_from_a_callback_leaves_equal_time_events_unfired(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    @pytest.mark.parametrize("granularity", [64e-6, 1e9], ids=["wheel", "heap"])
+    def test_stop_from_a_callback_leaves_equal_time_events_unfired(self, granularity):
+        sim = Simulator(wheel_granularity_s=granularity)
         out = []
 
         def finish():

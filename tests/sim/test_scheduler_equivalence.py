@@ -1,7 +1,10 @@
-"""The timer wheel must be invisible: both schedulers fire the exact
-same (time, tag) sequence on any workload, including equal-time FIFO
-ties, cancellations, nested scheduling, compaction, and run(until=)
-window edges."""
+"""The timer wheel must be invisible: it fires the exact same (time,
+tag) sequence as a single heap on any workload, including equal-time
+FIFO ties, cancellations, nested scheduling, compaction, and run(until=)
+window edges.
+
+The single heap is the engine itself with a wheel bucket no run reaches
+(``wheel_granularity_s=1e9``): every entry then sits in the near heap."""
 
 from __future__ import annotations
 
@@ -11,18 +14,23 @@ import pytest
 from repro.sim.engine import Simulator
 
 
+def heap_oracle(**kwargs) -> Simulator:
+    """The single-heap layout: no entry ever reaches a wheel bucket."""
+    return Simulator(wheel_granularity_s=1e9, **kwargs)
+
+
+SCHEDULERS = (heap_oracle, Simulator)
+
+
 def _both(**kwargs):
-    return (
-        Simulator(scheduler="heap", **kwargs),
-        Simulator(scheduler="wheel", **kwargs),
-    )
+    return tuple(make(**kwargs) for make in SCHEDULERS)
 
 
 def _drive_random_workload(sim: Simulator, seed: int) -> list[tuple[float, int]]:
     """A randomized schedule / schedule_call / cancel workload.
 
     All randomness comes from a local generator seeded identically for
-    both schedulers, and is consumed in the same order, so the two runs
+    both engines, and is consumed in the same order, so the two runs
     issue byte-identical operation sequences.  Fired events are recorded
     as (time, tag) pairs.
     """
@@ -72,15 +80,17 @@ def test_random_workloads_fire_identically(seed):
     assert heap_fired == wheel_fired
     assert heap_sim.events_processed == wheel_sim.events_processed
     assert heap_sim.now == wheel_sim.now
+    # the oracle never poured a bucket; the wheel did
+    assert heap_sim._horizon_idx == 1 < wheel_sim._horizon_idx
 
 
 def test_equal_time_fifo_ties_across_apis():
     """Events at one instant fire in scheduling order regardless of
     which insert API (handle, handle-free, relative, absolute) each
-    one used or which scheduler runs them."""
+    one used or which layout runs them."""
     orders = []
-    for scheduler in ("heap", "wheel"):
-        sim = Simulator(scheduler=scheduler)
+    for make in SCHEDULERS:
+        sim = make()
         out: list[int] = []
         t = 5e-4  # beyond the wheel horizon so buckets are exercised
         sim.schedule_at(t, out.append, 0)
@@ -95,11 +105,11 @@ def test_equal_time_fifo_ties_across_apis():
 
 def test_run_until_edges_match():
     """run(until=) is inclusive, composes in windows, and advances the
-    clock identically on both schedulers -- including events exactly on
+    clock identically on both layouts -- including events exactly on
     the window edge and cancelled heads."""
     results = []
-    for scheduler in ("heap", "wheel"):
-        sim = Simulator(scheduler=scheduler)
+    for make in SCHEDULERS:
+        sim = make()
         out: list[tuple[float, str]] = []
 
         def mark(label, _sim=sim, _out=out):
@@ -124,8 +134,8 @@ def test_run_until_edges_match():
 def test_compaction_preserves_order_and_counts():
     """Mass-cancelling triggers compaction; survivors still fire in
     order and the entry counts collapse to the live population."""
-    for scheduler in ("heap", "wheel"):
-        sim = Simulator(scheduler=scheduler, compact_min_dead=64)
+    for make in SCHEDULERS:
+        sim = make(compact_min_dead=64)
         out: list[int] = []
         handles = [
             sim.schedule_at(i * 1e-6, out.append, i) for i in range(1000)
@@ -133,7 +143,7 @@ def test_compaction_preserves_order_and_counts():
         for i, handle in enumerate(handles):
             if i % 10:  # kill 90%
                 handle.cancel()
-        assert sim.compactions >= 1, scheduler
+        assert sim.compactions >= 1, make
         assert sim.pending == 100
         # compaction purged most of the 900 dead entries; only the
         # below-threshold tail cancelled after the last rebuild remains
@@ -146,7 +156,7 @@ def test_compaction_preserves_order_and_counts():
 def test_pending_is_o1_and_counts_all_insert_apis():
     """`pending` is maintained arithmetically: it tracks handle-free
     fast-path events too, and never requires a structure scan."""
-    sim = Simulator(scheduler="wheel")
+    sim = Simulator()
     sim.schedule_call(1e-6, lambda: None)
     sim.schedule_call_at(2e-3, lambda: None)  # lands in a wheel bucket
     handle = sim.schedule(3e-3, lambda: None)
@@ -161,10 +171,10 @@ def test_pending_is_o1_and_counts_all_insert_apis():
 
 def test_run_deadline_matches_step_loop():
     """run_deadline(d) is exactly `while step(): if now > d: break` --
-    the crossing event still fires -- on both schedulers."""
-    for scheduler in ("heap", "wheel"):
-        ref = Simulator(scheduler=scheduler)
-        fast = Simulator(scheduler=scheduler)
+    the crossing event still fires -- on both layouts."""
+    for make in SCHEDULERS:
+        ref = make()
+        fast = make()
         out_ref: list[float] = []
         out_fast: list[float] = []
         for sim, out in ((ref, out_ref), (fast, out_fast)):
