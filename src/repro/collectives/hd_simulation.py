@@ -255,10 +255,7 @@ class HDJob:
             )
             for worker, tensor in zip(self.workers, tensors):
                 worker.start(tensor)
-        deadline = self.sim.now + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
+        self.sim.run_deadline(self.sim.now + deadline_s)
         completed = len(self._completed) == cfg.num_workers
         results = [None if w.work is None else w.work.copy()
                    for w in self.workers]

@@ -311,10 +311,7 @@ class PSJob:
             for worker, tensor in zip(self.workers, padded):
                 worker.start(tensor)
 
-        deadline = self.sim.now + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
+        self.sim.run_deadline(self.sim.now + deadline_s)
         completed = len(self._completed) == cfg.num_workers
 
         results = []

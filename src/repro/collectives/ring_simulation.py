@@ -265,10 +265,7 @@ class RingJob:
             for rank_lanes, tensor in zip(self.lanes, arrays):
                 for s_index, lane in enumerate(rank_lanes):
                     lane.start(tensor[bounds[s_index] : bounds[s_index + 1]])
-        deadline = self.sim.now + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
+        self.sim.run_deadline(self.sim.now + deadline_s)
         completed = len(self._completed) == cfg.num_workers * segments
 
         results: list[np.ndarray | None] = []

@@ -194,10 +194,7 @@ class AggregatorDeviceJob:
             ]
             for worker, tensor in zip(self.workers, padded):
                 worker.start(tensor)
-        deadline = self.sim.now + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
+        self.sim.run_deadline(self.sim.now + deadline_s)
         completed = len(self._completed) == cfg.num_workers
         results = [
             None if w.result is None else w.result[:original].copy()

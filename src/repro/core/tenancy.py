@@ -494,10 +494,7 @@ class MultiTenantRack:
             self.sim.schedule_at(when, worker.start, arr)
 
     def run(self, deadline_s: float = 60.0) -> None:
-        deadline = self.sim.now + deadline_s
-        while self.sim.step():
-            if self.sim.now > deadline:
-                break
+        self.sim.run_deadline(self.sim.now + deadline_s)
 
     def result(self, job_id: int, original_length: int | None = None) -> TenantResult:
         handle, workers = self._jobs[job_id]

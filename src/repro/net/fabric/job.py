@@ -172,6 +172,9 @@ class FabricJob:
                     member_id=gwid,
                     obs=self.obs,
                     switch_addr=leaf.switch.name,
+                    # an update frame ends at its leaf (the partial sent up
+                    # is a new packet), so the rack's FIFO rule applies
+                    reuse_buffers=cfg.link.jitter_s == 0.0,
                 )
                 host.attach_agent(worker)
                 self.workers.append(worker)

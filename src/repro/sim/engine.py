@@ -38,6 +38,7 @@ counter maintained on schedule/fire/cancel -- O(1), never a heap scan.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable
 
@@ -206,12 +207,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
+        # bucket first: int() rejects inf/nan before anything is counted
+        bucket = int(time / self._gran)
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args)
         event._sim = self
         self._live += 1
-        bucket = int(time / self._gran)
         if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
@@ -237,10 +239,10 @@ class Simulator:
         allocation source in the inner loop.
         """
         time = self.now + delay
+        bucket = int(time / self._gran)
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        bucket = int(time / self._gran)
         if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
@@ -258,10 +260,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
+        bucket = int(time / self._gran)
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        bucket = int(time / self._gran)
         if bucket >= self._horizon_idx:
             buckets = self._buckets
             lst = buckets.get(bucket)
@@ -406,10 +408,17 @@ class Simulator:
         that crosses the deadline still fires (jobs use this to bound
         wall-clock on runs that will never complete) -- but with the pop
         loop inlined, saving a method call per event on the hottest loop
-        in the repo.
+        in the repo, and with the cyclic garbage collector paused for the
+        loop (restored on every exit path).
         """
         pop = heapq.heappop
         self._stop = False
+        # No run creates cyclic garbage (tests/sim/test_gc_pause.py pins
+        # this), so the cyclic collector would only re-walk the live job
+        # graph: pause it for the loop; reference counting still frees
+        # everything.  A caller's own disabled collector stays disabled.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         # `events_processed` is only read between runs (nothing in src/
         # reads it from inside a callback), so it is accumulated in a
         # local and synced on every exit path; `_live` stays an attribute
@@ -439,6 +448,8 @@ class Simulator:
         finally:
             self._stop = False
             self.events_processed += fired
+            if gc_was_enabled:
+                gc.enable()
 
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         """Drain every event; guard against runaway simulations."""

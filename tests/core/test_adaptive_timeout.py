@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.job import SwitchMLConfig, SwitchMLJob
+from repro.core.packet import SwitchMLPacket
 from repro.net.link import LinkSpec
 from repro.net.loss import BernoulliLoss
 
@@ -83,20 +84,34 @@ class TestAdaptiveUnderLoss:
 
     def test_karns_rule_skips_ambiguous_samples(self):
         """Responses to retransmitted packets must not feed the
-        estimator (they may measure the retransmission, not the RTT)."""
+        estimator (they may measure the retransmission, not the RTT) nor
+        clear the slot's backoff (RFC 6298 SS5.7)."""
         job = make_job()
         worker = job.workers[0]
         worker._observe_rtt(100e-6)
-        srtt_before = worker._srtt
-        # simulate: a slot was retransmitted; its (late, inflated) sample
-        # would be fed only through _on_result, which checks the flag.
-        worker._slot_retransmitted = [True] * worker.s
-        worker._slot_off = [0] * worker.s
-        worker._slot_ver = [0] * worker.s
-        worker._slot_packet = [None] * worker.s
-        # _on_result ignores slots without outstanding packets, so the
-        # ambiguous path is unreachable; assert estimator unchanged.
-        assert worker._srtt == srtt_before
+        # only worker 0 streams, so no slot ever completes: slot 0's
+        # timer fires and resends it
+        worker.start(np.zeros(32 * 8 * 2, dtype=np.int64))
+        while not worker._slot_retransmitted[0]:
+            assert job.sim.step()
+        srtt, rttvar = worker._srtt, worker._rttvar
+        backoff = worker._slot_backoff[0]
+        assert backoff > 1.0
+        assert job.sim.now - worker._slot_sent_at[0] > 2 * srtt  # inflated
+        # the late (inflated) result of the retransmitted slot
+        sent = worker._slot_packet[0]
+        worker._on_result(
+            SwitchMLPacket(
+                wid=0, ver=sent.ver, idx=0, off=sent.off,
+                num_elements=sent.num_elements,
+                vector=np.zeros(sent.num_elements, dtype=np.int64),
+                from_switch=True, epoch=worker.epoch, job_id=sent.job_id,
+            )
+        )
+        assert worker.stats.results_received == 1  # consumed, not stale
+        assert worker._srtt == srtt
+        assert worker._rttvar == rttvar
+        assert worker._slot_backoff[0] == backoff
 
     def test_rto_tracks_congested_rtt(self):
         """With a slow downlink the RTT quadruples; the estimator must

@@ -4,7 +4,8 @@
   run reaches) produce identical simulations -- event order (via trace
   ticks and event counts), final tensors, stats;
 * the zero-copy buffer-reuse paths (worker freelists, pooled switch
-  multicast) vs. fresh allocations likewise.
+  multicast) vs. fresh allocations likewise, on the rack and on a fabric
+  whose spine crashes mid-run (reroute + replay).
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import pytest
 
 import repro.core.job
 from repro.core.job import SwitchMLConfig, SwitchMLJob
+from repro.net.fabric import (
+    CrashSpine,
+    FabricConfig,
+    FabricFaultInjector,
+    FabricFaultPlan,
+    FabricJob,
+)
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.sim.engine import Simulator
 
@@ -89,3 +97,47 @@ class TestBufferReuseEquivalence:
         on_fp = _fingerprint(*_run(reuse=True, loss=loss))
         off_fp = _fingerprint(*_run(reuse=False, loss=loss))
         assert on_fp == off_fp
+
+
+def _fabric_fingerprint(reuse: bool):
+    """A lossy 4x4 Clos whose active spine crashes mid-run: everything
+    observable, with the workers' buffer reuse left on (the fabric's
+    jitter-free default) or switched off."""
+    job = FabricJob(
+        FabricConfig(
+            num_leaves=4, num_spines=2, workers_per_leaf=4, pool_size=8,
+            loss_factory=lambda: BernoulliLoss(0.005), seed=5,
+        )
+    )
+    assert all(w.reuse_buffers for w in job.workers)
+    if not reuse:
+        for w in job.workers:
+            w.reuse_buffers = False
+    FabricFaultInjector(
+        job, FabricFaultPlan().add(CrashSpine(spine=job.active_spine, at_s=2e-4))
+    ).arm()
+    rng = np.random.default_rng(11)
+    tensors = [
+        rng.integers(-50, 50, 32 * 8 * 30).astype(np.int64)
+        for _ in range(job.config.num_workers)
+    ]
+    result = job.all_reduce(tensors)  # verify=True: exact sums
+    assert result.completed and len(result.reroutes) == 1
+    return {
+        "events": job.sim.events_processed,
+        "final_time": job.sim.now,
+        "tensors": [t.tolist() for t in result.results],
+        "retx": result.retransmissions,
+        "per_worker": [
+            (s.packets_sent, s.results_received, s.retransmissions,
+             s.tensor_aggregation_time)
+            for s in result.worker_stats
+        ],
+    }
+
+
+class TestFabricBufferReuseEquivalence:
+    def test_reuse_on_off_identical_across_reroute(self):
+        on_fp = _fabric_fingerprint(reuse=True)
+        assert on_fp["retx"] > 0
+        assert on_fp == _fabric_fingerprint(reuse=False)

@@ -39,6 +39,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_unschedulable_times_leave_nothing_pending(self, bad):
+        # inf overflows the wheel bucket, nan has none: each call is
+        # rejected before anything is counted
+        sim = Simulator()
+        fn = lambda: None  # noqa: E731
+        for schedule in (sim.schedule, sim.schedule_at,
+                         sim.schedule_call, sim.schedule_call_at):
+            with pytest.raises((OverflowError, ValueError)):
+                schedule(bad, fn)
+        assert sim.pending == 0
+        out = []
+        sim.schedule(1.0, out.append, "a")
+        sim.run()
+        assert out == ["a"]
+        assert sim.pending == 0
+
     def test_nested_scheduling_from_callbacks(self):
         sim = Simulator()
         out = []
